@@ -5,7 +5,10 @@ The machine's DRAM is modelled two ways at once:
 * **Ownership** is tracked exactly, via an interval map from physical
   address ranges to an owner label (the host OS, an enclave id, or the
   free pool).  Every protection decision Covirt makes about memory reduces
-  to a question against this map, so it is fully functional.
+  to a question against this map, so it is fully functional.  The map is
+  an extent map (:mod:`repro.hw.extents`, the structure the page tables
+  and EPTs share) that always covers all of DRAM and coalesces equal
+  neighbours, so an ownership change costs one bisection and a splice.
 * **Contents** are backed lazily: a 4 KiB numpy page is materialised only
   when something actually reads or writes it.  A 64 GiB machine therefore
   costs nothing until touched.
@@ -15,16 +18,19 @@ Addresses and sizes are plain integers in bytes.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Hashable, Iterator
 
 import numpy as np
 
+from repro.hw.extents import ExtentMap
+
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT  # 4 KiB
 PAGE_SIZE_2M = 1 << 21
 PAGE_SIZE_1G = 1 << 30
+#: Leaf page sizes from largest to smallest, for greedy coalescing.
+PAGE_SIZES_DESC = (PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE)
 
 #: Owner label for unassigned memory.
 FREE = "free"
@@ -104,33 +110,23 @@ class MemoryRegion:
         return f"MemoryRegion({self.start:#x}..{self.end:#x}, zone={self.zone})"
 
 
-class IntervalMap:
-    """Sorted map from half-open integer intervals to values.
-
-    Maintains the invariants that intervals never overlap, are sorted,
-    and adjacent intervals with equal values are coalesced.  This is the
-    data structure behind both physical-memory ownership and (via the
-    EPT) Covirt's view of an enclave's mappable address space.
-    """
+class IntervalMap(ExtentMap):
+    """An extent map that covers ``[start, end)`` completely and coalesces
+    adjacent extents with equal values: physical-memory ownership."""
 
     def __init__(self, start: int, end: int, initial: Hashable) -> None:
         if end <= start:
             raise ValueError("empty interval map")
-        self._starts: list[int] = [start]
-        self._ends: list[int] = [end]
-        self._values: list[Hashable] = [initial]
+        super().__init__()
+        self.insert(start, end, initial)
         self.start = start
         self.end = end
-
-    def __len__(self) -> int:
-        return len(self._starts)
 
     def get(self, point: int) -> Hashable:
         """Value at ``point``."""
         if not self.start <= point < self.end:
             raise KeyError(f"point {point:#x} outside map range")
-        idx = bisect.bisect_right(self._starts, point) - 1
-        return self._values[idx]
+        return self._values[self.index(point)]
 
     def set(self, start: int, end: int, value: Hashable) -> None:
         """Assign ``value`` over [start, end), splitting as needed."""
@@ -141,63 +137,45 @@ class IntervalMap:
                 f"assignment [{start:#x},{end:#x}) outside map "
                 f"[{self.start:#x},{self.end:#x})"
             )
-        # Clip surviving fragments of existing intervals, insert the new
-        # span, then coalesce equal-valued neighbours.
-        pieces: list[tuple[int, int, Hashable]] = []
-        for s, e, v in zip(self._starts, self._ends, self._values):
-            if e <= start or s >= end:
-                pieces.append((s, e, v))
-                continue
-            if s < start:
-                pieces.append((s, start, v))
-            if e > end:
-                pieces.append((end, e, v))
-        pieces.append((start, end, value))
-        pieces.sort(key=lambda p: p[0])
-        out_s: list[int] = []
-        out_e: list[int] = []
-        out_v: list[Hashable] = []
-        for s, e, v in pieces:
-            if out_v and out_v[-1] == v and out_e[-1] == s:
-                out_e[-1] = e
-            else:
-                out_s.append(s)
-                out_e.append(e)
-                out_v.append(v)
-        self._starts, self._ends, self._values = out_s, out_e, out_v
+        inside = self.cut(start, end)
+        lo, hi = inside.start, inside.stop
+        # Absorb equal-valued neighbours so the map stays coalesced.
+        if lo and self._values[lo - 1] == value:
+            lo -= 1
+            start = self._starts[lo]
+        if hi < len(self) and self._values[hi] == value:
+            end = self._ends[hi]
+            hi += 1
+        self._starts[lo:hi] = [start]
+        self._ends[lo:hi] = [end]
+        self._values[lo:hi] = [value]
 
     def intervals(self) -> Iterator[tuple[int, int, Hashable]]:
         """Yield (start, end, value) for every interval, in order."""
-        yield from zip(self._starts, self._ends, self._values)
+        return iter(self)
 
     def intervals_in(self, start: int, end: int) -> Iterator[tuple[int, int, Hashable]]:
         """Yield intervals clipped to [start, end)."""
-        for s, e, v in self.intervals():
-            if e <= start or s >= end:
-                continue
+        for s, e, v in self.overlapping(start, end):
             yield max(s, start), min(e, end), v
 
     def uniform_value(self, start: int, end: int) -> Hashable | None:
         """If [start, end) maps to a single value, return it, else None."""
-        pieces = list(self.intervals_in(start, end))
-        if len(pieces) == 1:
-            return pieces[0][2]
-        first = pieces[0][2]
-        return first if all(v == first for _, _, v in pieces) else None
+        values = [v for _, _, v in self.overlapping(start, end)]
+        # Coalesced neighbours differ; outside the map this raises IndexError.
+        return values[0] if len(values) <= 1 else None
 
     def find(self, value: Hashable) -> list[tuple[int, int]]:
         """All intervals currently holding ``value``."""
-        return [(s, e) for s, e, v in self.intervals() if v == value]
+        return [(s, e) for s, e, v in self if v == value]
 
     def check_invariants(self) -> None:
         """Raise AssertionError if structural invariants are broken."""
-        assert self._starts[0] == self.start
-        assert self._ends[-1] == self.end
-        for i in range(len(self._starts)):
-            assert self._starts[i] < self._ends[i], "empty interval"
-            if i:
-                assert self._ends[i - 1] == self._starts[i], "gap/overlap"
-                assert self._values[i - 1] != self._values[i], "uncoalesced"
+        super().check_invariants()
+        assert self._starts[0] == self.start and self._ends[-1] == self.end
+        for i in range(1, len(self)):
+            assert self._ends[i - 1] == self._starts[i], "gap"
+            assert self._values[i - 1] != self._values[i], "uncoalesced"
 
 
 class PhysicalMemory:

@@ -1,7 +1,7 @@
 """x86-64 four-level guest page tables.
 
-Kitten maps its world identity-style, but it still builds real page
-tables: PML4 → PDPT → PD → PT, with 1 GiB and 2 MiB huge-page entries
+Kitten maps its world identity-style, but it still builds four-level
+page tables: PML4 → PDPT → PD → PT, with 1 GiB and 2 MiB huge-page entries
 where alignment allows (LWKs lean hard on huge pages).  The walker
 reports how many levels it touched, which is what makes guest-side
 translation costs and the "identity mappings make nested paging cheap"
@@ -10,55 +10,35 @@ story concrete.
 This is the *guest's own* translation structure — the layer above the
 EPT.  A correct Kitten's page tables cover exactly its memory map; the
 fault-injection knobs desynchronise the two layers the way real bugs do.
+
+The tables store one extent per :meth:`GuestPageTable.map` call
+(:class:`repro.hw.extents.PageExtents`) with its phys−virt offset,
+usable leaf sizes and writability.  Leaf counts, a walk's page size and
+depth, and coverage are derived arithmetically from each extent's greedy
+decomposition, equal to what building every leaf and splitting huge
+leaves on unmap would hold.  Extents of separate calls are never merged:
+one could take a huge page across the seam.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
+from repro.hw.extents import PageExtents, leaf_at
 from repro.hw.memory import (
     PAGE_SIZE,
     PAGE_SIZE_1G,
     PAGE_SIZE_2M,
+    PAGE_SIZES_DESC,
     is_page_aligned,
 )
 
-#: Bits of virtual address translated per level.
-_LEVEL_SHIFTS = (39, 30, 21, 12)  # PML4, PDPT, PD, PT
-_INDEX_MASK = 0x1FF
+#: Levels a walk touches to reach a leaf of each size (PML4 → PDPT → PD → PT).
+_LEVELS = {PAGE_SIZE_1G: 2, PAGE_SIZE_2M: 3, PAGE_SIZE: 4}
 
 
 class PageTableError(Exception):
     pass
-
-
-@dataclass
-class PTEntry:
-    """One page-table entry (any level)."""
-
-    present: bool = False
-    writable: bool = True
-    #: For leaf entries: physical frame base.  For interior entries: the
-    #: next-level table.
-    frame: int = 0
-    huge: bool = False
-    table: "PageTable | None" = None
-
-
-@dataclass
-class PageTable:
-    """One 512-entry table."""
-
-    level: int  # 0 = PML4 ... 3 = PT
-    entries: dict[int, PTEntry] = field(default_factory=dict)
-
-    def entry(self, index: int, create: bool = False) -> PTEntry | None:
-        entry = self.entries.get(index)
-        if entry is None and create:
-            entry = PTEntry()
-            self.entries[index] = entry
-        return entry
 
 
 @dataclass(frozen=True)
@@ -75,15 +55,9 @@ class GuestPageTable:
     """A guest's four-level translation structure."""
 
     def __init__(self) -> None:
-        self.root = PageTable(level=0)
-        #: Leaf entries installed, for introspection.
-        self.leaf_count: dict[int, int] = {
-            PAGE_SIZE: 0, PAGE_SIZE_2M: 0, PAGE_SIZE_1G: 0
-        }
-
-    @staticmethod
-    def _indices(vaddr: int) -> tuple[int, int, int, int]:
-        return tuple((vaddr >> shift) & _INDEX_MASK for shift in _LEVEL_SHIFTS)
+        self._pages = PageExtents(PAGE_SIZES_DESC)
+        #: Leaf entries installed per page size, for introspection.
+        self.leaf_count: dict[int, int] = self._pages.counts
 
     # -- mapping -------------------------------------------------------
 
@@ -104,131 +78,39 @@ class GuestPageTable:
         """
         if not (is_page_aligned(virt) and is_page_aligned(phys) and is_page_aligned(size)) or size <= 0:
             raise PageTableError(f"bad map [{virt:#x},+{size:#x})")
-        created = 0
-        remaining = size
-        while remaining:
-            for page_size in (PAGE_SIZE_1G, PAGE_SIZE_2M, PAGE_SIZE):
-                if page_size > max_page:
-                    continue
-                if virt % page_size or phys % page_size or remaining < page_size:
-                    continue
-                self._install_leaf(virt, phys, page_size, writable)
-                virt += page_size
-                phys += page_size
-                remaining -= page_size
-                created += 1
-                break
-        return created
-
-    def _install_leaf(
-        self, virt: int, phys: int, page_size: int, writable: bool
-    ) -> None:
-        leaf_level = {PAGE_SIZE_1G: 1, PAGE_SIZE_2M: 2, PAGE_SIZE: 3}[page_size]
-        table = self.root
-        indices = self._indices(virt)
-        for level in range(leaf_level):
-            entry = table.entry(indices[level], create=True)
-            assert entry is not None
-            if entry.present and entry.table is None:
+        end = virt + size
+        sizes = self._pages.allowed(phys - virt, max_page)
+        clash = self._pages.extents.span(virt, end)
+        if clash:
+            # Name the first new leaf that lands on an existing mapping.
+            first = max(virt, self._pages.extents[clash.start][0])
+            base, page_size = leaf_at(first, virt, end, sizes)
+            if self.walk(first).page_size > page_size:
                 raise PageTableError(
-                    f"{virt:#x}: huge mapping already covers this range"
+                    f"{base:#x}: huge mapping already covers this range"
                 )
-            if entry.table is None:
-                entry.table = PageTable(level=level + 1)
-                entry.present = True
-            table = entry.table
-        leaf = table.entry(indices[leaf_level], create=True)
-        assert leaf is not None
-        if leaf.present:
-            raise PageTableError(f"{virt:#x} already mapped")
-        leaf.present = True
-        leaf.writable = writable
-        leaf.frame = phys
-        leaf.huge = page_size != PAGE_SIZE
-        self.leaf_count[page_size] += 1
+            raise PageTableError(f"{base:#x} already mapped")
+        return self._pages.add(virt, end, phys - virt, sizes, writable)
 
     def unmap(self, virt: int, size: int) -> int:
         """Unmap [virt, +size); huge leaves are split when partially
         covered.  Returns leaf entries removed (post-split)."""
         if not is_page_aligned(virt) or not is_page_aligned(size) or size <= 0:
             raise PageTableError(f"bad unmap [{virt:#x},+{size:#x})")
-        removed = 0
-        addr = virt
-        end = virt + size
-        while addr < end:
-            result = self.walk(addr)
-            if result is None:
-                raise PageTableError(f"{addr:#x} not mapped")
-            base = addr & ~(result.page_size - 1)
-            leaf_end = base + result.page_size
-            if base < addr or leaf_end > end:
-                # Split the huge leaf and retry at finer granularity.
-                self._split_leaf(base, result)
-                continue
-            self._remove_leaf(base, result.page_size)
-            removed += 1
-            addr = leaf_end
-        return removed
-
-    def _split_leaf(self, base: int, result: WalkResult) -> None:
-        if result.page_size == PAGE_SIZE:
-            raise PageTableError("cannot split a 4K leaf")
-        at_base = self.walk(base)
-        assert at_base is not None
-        phys_base = at_base.paddr  # leaf-aligned physical base
-        smaller = PAGE_SIZE_2M if result.page_size == PAGE_SIZE_1G else PAGE_SIZE
-        self._remove_leaf(base, result.page_size)
-        for offset in range(0, result.page_size, smaller):
-            self._install_leaf(
-                base + offset, phys_base + offset, smaller, result.writable
-            )
-
-    def _remove_leaf(self, virt: int, page_size: int) -> None:
-        leaf_level = {PAGE_SIZE_1G: 1, PAGE_SIZE_2M: 2, PAGE_SIZE: 3}[page_size]
-        indices = self._indices(virt)
-        path: list[tuple[PageTable, int]] = []
-        table = self.root
-        for level in range(leaf_level):
-            entry = table.entry(indices[level])
-            if entry is None or entry.table is None:
-                raise PageTableError(f"{virt:#x}: broken interior node")
-            path.append((table, indices[level]))
-            table = entry.table
-        leaf = table.entry(indices[leaf_level])
-        if leaf is None or not leaf.present:
-            raise PageTableError(f"{virt:#x} not mapped at {page_size:#x}")
-        del table.entries[indices[leaf_level]]
-        self.leaf_count[page_size] -= 1
-        # Prune now-empty interior tables so the slot can later hold a
-        # huge leaf again (real kernels free empty page-table pages too).
-        for parent, index in reversed(path):
-            child = parent.entries[index].table
-            if child is not None and not child.entries:
-                del parent.entries[index]
-            else:
-                break
+        gap = self._pages.extents.first_gap(virt, virt + size)
+        if gap is not None:
+            raise PageTableError(f"{gap:#x} not mapped")
+        return self._pages.remove(virt, virt + size)
 
     # -- walking ---------------------------------------------------------
 
     def walk(self, vaddr: int) -> WalkResult | None:
         """Translate ``vaddr``; None on a guest page fault."""
-        indices = self._indices(vaddr)
-        table = self.root
-        for level in range(4):
-            entry = table.entry(indices[level])
-            if entry is None or not entry.present:
-                return None
-            if entry.table is None:  # leaf
-                page_size = {1: PAGE_SIZE_1G, 2: PAGE_SIZE_2M, 3: PAGE_SIZE}[level]
-                offset = vaddr & (page_size - 1)
-                return WalkResult(
-                    paddr=entry.frame + offset,
-                    page_size=page_size,
-                    writable=entry.writable,
-                    levels_touched=level + 1,
-                )
-            table = entry.table
-        return None  # pragma: no cover
+        leaf = self._pages.leaf(vaddr)
+        if leaf is None:
+            return None
+        _, page_size, offset, writable = leaf
+        return WalkResult(vaddr + offset, page_size, writable, _LEVELS[page_size])
 
     def translate(self, vaddr: int, *, write: bool = False) -> WalkResult | None:
         result = self.walk(vaddr)
@@ -238,25 +120,9 @@ class GuestPageTable:
 
     def covers(self, addr: int, length: int) -> bool:
         """Is [addr, +length) fully mapped?"""
-        pos = addr
-        end = addr + max(length, 1)
-        while pos < end:
-            result = self.walk(pos)
-            if result is None:
-                return False
-            pos = (pos & ~(result.page_size - 1)) + result.page_size
-        return True
+        return self._pages.extents.first_gap(addr, addr + max(length, 1)) is None
 
     # -- introspection -------------------------------------------------
 
     def mapped_bytes(self) -> int:
         return sum(size * count for size, count in self.leaf_count.items())
-
-    def tables(self) -> Iterator[PageTable]:
-        stack = [self.root]
-        while stack:
-            table = stack.pop()
-            yield table
-            for entry in table.entries.values():
-                if entry.table is not None:
-                    stack.append(entry.table)

@@ -150,6 +150,15 @@ class FlightRecorder:
         and must not mutate simulation state."""
         self.context_providers[name] = provider
 
+    def _context(self, name: str) -> Any:
+        """One provider's section.  A provider that raises must not stop
+        the bundle: it runs on a machine already known to be broken, so
+        its section records the error instead."""
+        try:
+            return _jsonable(self.context_providers[name]())
+        except Exception as exc:  # noqa: BLE001 — freezing must never raise
+            return {"error": f"{type(exc).__name__}: {exc}"}
+
     # -- introspection ---------------------------------------------------
 
     def tail(self, n: int | None = None) -> list[dict[str, Any]]:
@@ -191,7 +200,7 @@ class FlightRecorder:
             "events": self.tail(),
             "metrics": self.metrics.to_dict() if self.metrics else {},
             "context": {
-                name: _jsonable(self.context_providers[name]())
+                name: self._context(name)
                 for name in sorted(self.context_providers)
             },
         }

@@ -111,6 +111,20 @@ class TestPostmortem:
         assert bundle["context"] == {"covirt": {"enclaves": {}}}
         assert validate_postmortem(bundle) == []
 
+    def test_raising_provider_is_recorded_not_raised(self, obs):
+        def broken():
+            raise ValueError("corrupt queue header")
+
+        obs.flight.register_context("covirt", broken)
+        obs.flight.register_context("recovery", lambda: {"services": {}})
+        obs.metrics.counter("c").inc()
+        bundle = obs.flight.postmortem("oracle", "broken machine")
+        assert bundle["context"] == {
+            "covirt": {"error": "ValueError: corrupt queue header"},
+            "recovery": {"services": {}},
+        }
+        assert validate_postmortem(bundle) == []
+
     def test_bundles_are_sequenced_and_bounded(self, obs):
         obs.metrics.counter("c").inc()
         for _ in range(MAX_RETAINED_POSTMORTEMS + 5):
@@ -197,6 +211,20 @@ class TestWiredScenario:
         engine_b.env.machine.obs.flight.note("noise", "extra ring traffic")
         run_b = engine_b.run(30)
         assert run_a.fingerprint == run_b.fingerprint
+
+    def test_corrupt_queue_postmortem_ends_the_run_cleanly(self):
+        # churn/1808926366 corrupts a command-queue header at step 34,
+        # and the oracle post-mortem's controller summary then fails to
+        # read that queue: the run must still return its failure.
+        engine = FuzzEngine(seed=1808926366, schedule="churn")
+        run = engine.run(200)
+        assert run.failure["step"] == 34
+        bundle = engine.env.machine.obs.flight.postmortems[-1]
+        assert bundle["trigger"] == "oracle"
+        assert bundle["context"]["covirt"] == {
+            "error": "ValueError: corrupt queue header"
+        }
+        assert validate_postmortem(bundle) == []
 
     def test_oracle_violation_snapshots_a_postmortem(self):
         engine = FuzzEngine(seed=7, schedule="baseline")

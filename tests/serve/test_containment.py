@@ -105,3 +105,29 @@ class TestCrashContainment:
             client.step(sid, steps=1)
         assert exc.value.code == E_SESSION_PARKED
         assert client.inspect(sid)["state"] == "parked"
+
+    def test_postmortem_provider_error_parks_without_killing_daemon(
+        self, daemon, make_client
+    ):
+        # churn/1808926366 corrupts another enclave's command-queue header
+        # at step 34; the controller's post-mortem summary then raises
+        # while reading that queue.  The bundle records the error, the
+        # session parks, and the daemon keeps serving its sibling.
+        victim = make_client("churn-t")
+        sibling = make_client("sibling-t")
+        sid_v = victim.launch(scenario="churn", seed=1808926366)["session_id"]
+        sid_s = sibling.launch(seed=REFERENCE_SEED)["session_id"]
+        with pytest.raises(ServeError) as exc:
+            victim.step(sid_v, steps=40)
+        assert exc.value.code == E_SESSION_PARKED
+        assert daemon._thread.is_alive()
+        assert victim.inspect(sid_v)["state"] == "parked"
+        session = daemon.registry.get("churn-t", sid_v)
+        oracle, parked = list(session.env.machine.obs.flight.postmortems)[-2:]
+        assert (oracle["trigger"], parked["trigger"]) == ("oracle", PARK_TRIGGER)
+        for bundle in (oracle, parked):
+            assert validate_postmortem(bundle) == []
+            assert bundle["context"]["covirt"] == {
+                "error": "ValueError: corrupt queue header"
+            }
+        assert len(sibling.step(sid_s, steps=PHASE_ONE)["steps"]) == PHASE_ONE

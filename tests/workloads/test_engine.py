@@ -97,7 +97,6 @@ class TestMechanisticOverheads:
         )
         assert trap.elapsed_cycles > posted.elapsed_cycles
 
-    @pytest.mark.slow  # builds a full 4K-only EPT: ~20s on its own
     def test_ept_coalescing_reduces_overhead(self, env):
         coalesced = run_config(env, RandomAccess(), CovirtConfig.memory_only())
         flat = run_config(
