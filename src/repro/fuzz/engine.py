@@ -256,11 +256,18 @@ class FuzzEngine:
 
     # -- public driving ----------------------------------------------------
 
+    def step(self) -> StepRecord:
+        """Generate and apply one action, leaving the engine exactly as
+        ``run(1)`` would but without building a :class:`FuzzRun`.  This
+        is the serving daemon's slice path; callers check
+        :attr:`failure` after each step."""
+        self._apply(self._generate())
+        return self.steps[-1]
+
     def run(self, steps: int) -> FuzzRun:
         """Generate-and-apply ``steps`` actions (stops early on failure)."""
         for _ in range(steps):
-            action = self._generate()
-            self._apply(action)
+            self.step()
             if self.failure is not None:
                 break
         return self._finish()
@@ -778,10 +785,9 @@ class FuzzEngine:
             for name, value in sorted(flatten_counters(self.total_counters()).items())
         ]
         lines += [f"config {tsc} {detail}" for tsc, detail in env.controller.config_log]
-        lines += [
-            f"fault {f.enclave_id} {f.key().kind}/{f.key().detail_class}"
-            for f in env.controller.fault_log
-        ]
+        for f in env.controller.fault_log:
+            key = f.key()
+            lines.append(f"fault {f.enclave_id} {key.kind}/{key.detail_class}")
         lines += [
             f"rtrace {r.tsc} {r.kind.value} {r.detail}"
             for r in env.recovery.trace.tail(env.recovery.trace.capacity)

@@ -272,8 +272,21 @@ class OraclePack:
     def _check_scrubbed(self, env: "CovirtEnvironment") -> None:
         """Dead incarnations own nothing: after fault reclaim, teardown,
         or recovery relaunch, no resource may still be tagged with a
-        dead enclave's identity."""
+        dead enclave's identity.
+
+        One pass over the ownership map, the grants and the segments
+        collects every label, grant party and exporter; each dead id is
+        then a set lookup, and the per-id scans only word a violation."""
+        if not self.dead_enclave_ids:
+            return
         memory = env.machine.memory
+        labels = {owner for _, _, owner in memory._owners.intervals()}
+        parties: set[int] = set()
+        for grant in env.mcp.vectors.active_grants():
+            parties.add(grant.dest_enclave_id)
+            parties.update(grant.allowed_senders)
+        names = env.mcp.xemem.names
+        exporters = {seg.owner_enclave_id for seg in names.segments()}
         for eid in sorted(self.dead_enclave_ids):
             if eid in env.controller.contexts:
                 ctx = env.controller.contexts[eid]
@@ -284,22 +297,22 @@ class OraclePack:
                     f"controller still holds a context for dead enclave {eid}",
                 )
             for owner in (enclave_owner(eid), covirt_owner(eid)):
-                leaked = memory.owned_by(owner)
-                if leaked:
+                if owner in labels:
+                    leaked = memory.owned_by(owner)
                     self._fail(
                         "scrub-clean",
                         f"dead enclave {eid} still owns "
                         f"{sum(r.size for r in leaked):#x} bytes as {owner!r}",
                     )
-            grants = env.mcp.vectors.grants_involving(eid)
-            if grants:
+            if eid in parties:
+                grants = env.mcp.vectors.grants_involving(eid)
                 self._fail(
                     "scrub-clean",
                     f"dead enclave {eid} still involved in "
                     f"{len(grants)} vector grants",
                 )
-            owned = env.mcp.xemem.names.segments_owned_by(eid)
-            if owned:
+            if eid in exporters:
+                owned = names.segments_owned_by(eid)
                 self._fail(
                     "scrub-clean",
                     f"dead enclave {eid} still exports XEMEM segments "

@@ -28,6 +28,7 @@ from typing import Any
 
 from repro.fuzz.actions import Action, ActionKind
 from repro.fuzz.engine import MAX_SLOTS, SCHEDULES, FuzzEngine
+from repro.fuzz.mutate import validate_action
 from repro.pisces.enclave import EnclaveState
 from repro.serve.protocol import (
     E_INVALID_PARAMS,
@@ -173,7 +174,10 @@ class Session:
         before = self.steps_applied
 
         def work():
-            self.engine.run(steps)
+            for _ in range(steps):
+                self.engine.step()
+                if self.engine.failure is not None:
+                    return
 
         self._contain(work)
         return [self._step_dict(s) for s in self.engine.steps[before:]]
@@ -193,7 +197,7 @@ class Session:
         def work():
             applied = 0
             while self.clock - start < cycles and applied < MAX_STEPS_PER_SLICE:
-                self.engine.run(1)
+                self.engine.step()
                 applied += 1
                 if self.engine.failure is not None:
                     return
@@ -213,7 +217,10 @@ class Session:
     def inject(self, kind: str, params: dict[str, Any]) -> dict[str, Any]:
         """Apply one fully resolved fuzz action (no RNG consumed), or the
         special ``crash`` kind, which blows up *inside* the session to
-        exercise the containment path."""
+        exercise the containment path.  Params outside the action's
+        :data:`~repro.fuzz.mutate.PARAM_DOMAINS` are the client's error,
+        not a simulator finding: they answer ``invalid_params`` and
+        leave the session untouched."""
         if kind == CRASH_KIND:
             def crash():
                 raise SessionCrashed(
@@ -231,9 +238,11 @@ class Session:
                 f"unknown action kind {kind!r}; choose from {choices} "
                 f"or {CRASH_KIND!r}",
             ) from None
-        record = self._contain(
-            lambda: self.engine.inject(Action(action_kind, dict(params)))
-        )
+        action = Action(action_kind, dict(params))
+        problems = validate_action(action)
+        if problems:
+            raise ServeError(E_INVALID_PARAMS, "; ".join(problems))
+        record = self._contain(lambda: self.engine.inject(action))
         return self._step_dict(record)
 
     # -- observation -----------------------------------------------------

@@ -74,6 +74,34 @@ class TestInvalidParams:
         _expect(client, "session.step", {"session_id": "s999", "steps": 1},
                 E_NO_SUCH_SESSION)
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("touch_inside", {}),
+            ("touch_inside", {"slot": 0, "page": 1, "write": "yes"}),
+            ("ipi_foreign", {"slot": 0, "sender": 0, "dest": 0, "vector": 7}),
+        ],
+        ids=["missing", "wrong-type", "out-of-domain"],
+    )
+    def test_malformed_inject_leaves_session_running(
+        self, client, kind, params
+    ):
+        sid = client.launch(scenario="baseline", seed=5)["session_id"]
+        client.step(sid, steps=3)
+        before = client.inspect(sid)
+        err = _expect(
+            client,
+            "session.inject",
+            {"session_id": sid, "kind": kind, "params": params},
+            E_INVALID_PARAMS,
+        )
+        assert kind in err.message
+        doc = client.inspect(sid)
+        assert doc["state"] == "running"
+        assert doc["steps_applied"] == 3
+        assert doc["postmortems"] == before["postmortems"]
+        assert client.step(sid, steps=1)["steps"][0]["index"] == 3
+
 
 class TestQuotas:
     def test_over_quota_launch_sheds_and_registry_stays_consistent(

@@ -133,6 +133,35 @@ class TestInject:
         assert exc.value.code == E_INVALID_PARAMS
         assert session.state is SessionState.RUNNING
 
+    @pytest.mark.parametrize(
+        "kind, params, problem",
+        [
+            ("touch_inside", {}, "touch_inside missing param 'slot'"),
+            (
+                "touch_inside",
+                {"slot": "0", "page": 1, "write": False},
+                "touch_inside.slot must be an int, got '0'",
+            ),
+            ("tick", {"cycles": 0}, "tick.cycles=0 outside [1, 90000000]"),
+        ],
+        ids=["missing", "wrong-type", "out-of-domain"],
+    )
+    def test_malformed_params_are_invalid_params_not_a_park(
+        self, kind, params, problem
+    ):
+        session = Session("s1", "t", "baseline", 5)
+        session.step(3)
+        postmortems = len(session.env.machine.obs.flight.postmortems)
+        with pytest.raises(ServeError) as exc:
+            session.inject(kind, params)
+        assert exc.value.code == E_INVALID_PARAMS
+        assert problem in exc.value.message
+        assert session.state is SessionState.RUNNING
+        assert session.steps_applied == 3
+        assert len(session.env.machine.obs.flight.postmortems) == postmortems
+        # The session keeps serving: the next valid injection applies.
+        assert session.inject("tick", {"cycles": 1_000_000})["index"] == 3
+
 
 class TestKill:
     def test_kill_tears_down_enclaves(self):
