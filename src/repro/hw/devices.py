@@ -63,24 +63,20 @@ class MmioNic:
         return base + index * _DESC.size
 
     def _initialise_rings(self) -> None:
-        for ring in ("tx", "rx"):
-            for index in range(RING_ENTRIES):
-                self.machine.memory.write(
-                    self._desc_addr(ring, index),
-                    _DESC.pack(DESC_MAGIC, 0, 0),
-                )
+        ring = _DESC.pack(DESC_MAGIC, 0, 0) * RING_ENTRIES
+        for name in ("tx", "rx"):
+            self.machine.memory.write(self._desc_addr(name, 0), ring)
 
     # -- host driver -----------------------------------------------------
 
     def check_ring_integrity(self) -> bool:
         """The driver's sanity pass: every descriptor must carry the
         device magic.  A co-kernel scribble trips this."""
-        for ring in ("tx", "rx"):
-            for index in range(RING_ENTRIES):
-                data = self.machine.memory.read(
-                    self._desc_addr(ring, index), _DESC.size
-                )
-                magic, _length, _addr = _DESC.unpack(data)
+        for name in ("tx", "rx"):
+            ring = self.machine.memory.read(
+                self._desc_addr(name, 0), RING_ENTRIES * _DESC.size
+            )
+            for magic, _length, _addr in _DESC.iter_unpack(ring):
                 if magic != DESC_MAGIC:
                     self.stats.ring_errors += 1
                     return False

@@ -9,9 +9,11 @@ The machine's DRAM is modelled two ways at once:
   an extent map (:mod:`repro.hw.extents`, the structure the page tables
   and EPTs share) that always covers all of DRAM and coalesces equal
   neighbours, so an ownership change costs one bisection and a splice.
-* **Contents** are backed lazily: a 4 KiB numpy page is materialised only
-  when something actually reads or writes it.  A 64 GiB machine therefore
-  costs nothing until touched.
+* **Contents** are backed lazily: a 4 KiB ``bytearray`` page is
+  materialised only when something writes it (unbacked pages read as
+  zero).  A 64 GiB machine therefore costs nothing until touched, and the
+  model needs nothing beyond the standard library: numpy is imported on
+  first use, by the workload reference kernels only.
 
 Addresses and sizes are plain integers in bytes.
 """
@@ -20,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Hashable, Iterator
-
-import numpy as np
 
 from repro.hw.extents import ExtentMap
 
@@ -92,10 +92,6 @@ class MemoryRegion:
 
     def overlaps(self, other: "MemoryRegion") -> bool:
         return self.start < other.end and other.start < self.end
-
-    def page_numbers(self) -> range:
-        """Physical frame numbers covered by the region."""
-        return range(self.start >> PAGE_SHIFT, self.end >> PAGE_SHIFT)
 
     def split(self, offset: int) -> tuple["MemoryRegion", "MemoryRegion"]:
         """Split into two regions at ``offset`` bytes from the start."""
@@ -186,8 +182,8 @@ class PhysicalMemory:
             raise ValueError("memory size must be a positive page multiple")
         self.size = size
         self._owners = IntervalMap(0, size, FREE)
-        self._pages: dict[int, np.ndarray] = {}
-        #: Bytes currently materialised (for tests / introspection).
+        self._pages: dict[int, bytearray] = {}
+        #: Pages currently materialised (for tests / introspection).
         self.resident_pages = 0
 
     # -- ownership ---------------------------------------------------------
@@ -267,18 +263,19 @@ class PhysicalMemory:
 
     # -- contents ----------------------------------------------------------
 
-    def _page(self, frame: int, create: bool) -> np.ndarray | None:
+    def _page(self, frame: int) -> bytearray:
+        """The backing page of ``frame``, materialised (zeroed) if needed."""
         page = self._pages.get(frame)
-        if page is None and create:
-            page = np.zeros(PAGE_SIZE, dtype=np.uint8)
-            self._pages[frame] = page
+        if page is None:
+            page = self._pages[frame] = bytearray(PAGE_SIZE)
             self.resident_pages += 1
         return page
 
     def _drop_backing(self, region: MemoryRegion) -> None:
-        for frame in region.page_numbers():
-            if self._pages.pop(frame, None) is not None:
-                self.resident_pages -= 1
+        lo, hi = region.start >> PAGE_SHIFT, region.end >> PAGE_SHIFT
+        for frame in [f for f in self._pages if lo <= f < hi]:
+            del self._pages[frame]
+            self.resident_pages -= 1
 
     def read(self, addr: int, length: int) -> bytes:
         """Read raw bytes; unbacked pages read as zero."""
@@ -290,26 +287,28 @@ class PhysicalMemory:
             frame = (addr + pos) >> PAGE_SHIFT
             off = (addr + pos) & (PAGE_SIZE - 1)
             chunk = min(length - pos, PAGE_SIZE - off)
-            page = self._page(frame, create=False)
+            page = self._pages.get(frame)
             if page is not None:
-                out[pos : pos + chunk] = page[off : off + chunk].tobytes()
+                out[pos : pos + chunk] = page[off : off + chunk]
             pos += chunk
         return bytes(out)
 
     def write(self, addr: int, data: bytes) -> None:
-        """Write raw bytes, materialising pages as needed."""
-        if addr < 0 or addr + len(data) > self.size:
-            raise ValueError(f"write [{addr:#x},+{len(data)}) out of range")
+        """Write the bytes of ``data`` (any buffer), materialising pages as
+        needed."""
+        # Work in bytes: len() and slices of a buffer of multi-byte items
+        # count items, and a slice assignment of the wrong length would
+        # resize the page.
+        data = memoryview(data).cast("B")
+        length = len(data)
+        if addr < 0 or addr + length > self.size:
+            raise ValueError(f"write [{addr:#x},+{length}) out of range")
         pos = 0
-        while pos < len(data):
+        while pos < length:
             frame = (addr + pos) >> PAGE_SHIFT
             off = (addr + pos) & (PAGE_SIZE - 1)
-            chunk = min(len(data) - pos, PAGE_SIZE - off)
-            page = self._page(frame, create=True)
-            assert page is not None
-            page[off : off + chunk] = np.frombuffer(
-                data[pos : pos + chunk], dtype=np.uint8
-            )
+            chunk = min(length - pos, PAGE_SIZE - off)
+            self._page(frame)[off : off + chunk] = data[pos : pos + chunk]
             pos += chunk
 
     def read_u64(self, addr: int) -> int:

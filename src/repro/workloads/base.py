@@ -5,11 +5,13 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.hw.memory import PAGE_SIZE
 from repro.hw.tlb import AccessPattern
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)

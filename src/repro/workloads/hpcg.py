@@ -9,10 +9,13 @@ is visible.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.hw.tlb import AccessPattern
 from repro.workloads.base import Phase, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 #: Table I parameters: nx ny nz = 104, runtime budget 330 s.
 HPCG_DIM = 104
@@ -66,6 +69,8 @@ class Hpcg(Workload):
     def reference_kernel(self, rng: "np.random.Generator | None" = None) -> dict:
         """A real CG solve of the 7-point Poisson operator on a small
         grid, matrix-free (the operator applied as a stencil)."""
+        import numpy as np
+
         rng = self.kernel_rng(rng)
         n = 20  # 20^3 grid
 

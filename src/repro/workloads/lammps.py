@@ -16,11 +16,13 @@ chute), validated by energy behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.hw.tlb import AccessPattern
 from repro.workloads.base import Phase, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -138,6 +140,8 @@ class Lammps(Workload):
     # -- the real MD engine ---------------------------------------------
 
     def reference_kernel(self, rng: "np.random.Generator | None" = None) -> dict:
+        import numpy as np
+
         rng = self.kernel_rng(rng)
         n = 125
         steps = 60

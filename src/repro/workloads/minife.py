@@ -8,10 +8,13 @@ configuration — the negative control among the mini-apps.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.hw.tlb import AccessPattern
 from repro.workloads.base import Phase, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 #: Table I parameters.
 MINIFE_DIM = 250
@@ -68,6 +71,8 @@ class MiniFE(Workload):
     def reference_kernel(self, rng: "np.random.Generator | None" = None) -> dict:
         """Real mini FE pipeline: assemble a hex-element Laplacian on a
         small structured mesh, then CG-solve it."""
+        import numpy as np
+
         rng = self.kernel_rng(rng)
         ne = 5  # elements per dimension → 6^3 nodes
         nn = ne + 1

@@ -8,10 +8,13 @@ memory + IPI protection).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.hw.tlb import AccessPattern
 from repro.workloads.base import Phase, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 #: Table I parameter "25": log2 of the table size in 8-byte words.
 TABLE_BITS = 25
@@ -38,6 +41,8 @@ def hpcc_random_stream(count: int, seed: int = 1) -> np.ndarray:
 
     Vectorised enough for the reference kernel's table sizes.
     """
+    import numpy as np
+
     out = np.empty(count, dtype=np.uint64)
     a = np.uint64(seed)
     one = np.uint64(1)
@@ -85,6 +90,8 @@ class RandomAccess(Workload):
         """Real GUPS at reduced scale, with the standard self-check:
         applying the same update stream twice returns the table to its
         initial state (XOR is an involution)."""
+        import numpy as np
+
         rng = self.kernel_rng(rng)
         bits = 16
         words = 1 << bits

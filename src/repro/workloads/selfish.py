@@ -10,7 +10,7 @@ essentially unchanged.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.hw.clock import CYCLES_PER_SECOND
 from repro.hw.tlb import AccessPattern
@@ -18,6 +18,9 @@ from repro.kitten.kernel import HOUSEKEEPING_TICK_CYCLES
 from repro.perf.costs import CostModel, DEFAULT_COSTS
 from repro.perf.sampling import DetourSampler, DetourTrace, NoiseSource
 from repro.workloads.base import Phase, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class SelfishDetour(Workload):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.hw.clock import CYCLES_PER_SECOND
 from repro.hw.tlb import AccessPattern
 from repro.workloads.base import Phase, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 #: Elements per array (the paper's runs use arrays far larger than LLC).
 STREAM_N = 1 << 24  # 128 MiB per array, 3 arrays
@@ -59,6 +62,8 @@ class Stream(Workload):
 
     def reference_kernel(self, rng: "np.random.Generator | None" = None) -> dict:
         """The four STREAM kernels, for real, at reduced scale."""
+        import numpy as np
+
         rng = self.kernel_rng(rng)
         n = 1 << 20
         a0 = rng.random(n)

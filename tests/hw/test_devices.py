@@ -87,3 +87,20 @@ class TestCorruptionDetection:
         assert nic.stats.tx_packets == tx_before
         assert nic.stats.rx_packets == rx_before
         assert nic.stats.ring_errors >= 2
+
+    @pytest.mark.parametrize("ring", ["tx", "rx"])
+    @pytest.mark.parametrize("index", [0, RING_ENTRIES - 1])
+    def test_scribble_on_any_descriptor_counts_one_error(
+        self, machine, nic, ring, index
+    ):
+        machine.memory.write(nic._desc_addr(ring, index), b"\x00" * 4)
+        assert not nic.check_ring_integrity()
+        assert nic.stats.ring_errors == 1
+
+    def test_bytes_past_each_ring_are_not_descriptors(self, machine, nic):
+        for ring in ("tx", "rx"):
+            machine.memory.write(
+                nic._desc_addr(ring, RING_ENTRIES), b"\xff" * _DESC.size
+            )
+        assert nic.check_ring_integrity()
+        assert nic.stats.ring_errors == 0

@@ -1,5 +1,7 @@
 """Physical memory: regions, interval map, ownership, contents."""
 
+from array import array
+
 import pytest
 
 from repro.hw.memory import (
@@ -14,6 +16,7 @@ from repro.hw.memory import (
 )
 
 MiB = 1 << 20
+GiB = 1 << 30
 
 
 class TestAlignment:
@@ -70,10 +73,6 @@ class TestMemoryRegion:
         for offset in (0, 0x2000, 0x100):
             with pytest.raises(ValueError):
                 region.split(offset)
-
-    def test_page_numbers(self):
-        region = MemoryRegion(2 * PAGE_SIZE, 3 * PAGE_SIZE)
-        assert list(region.page_numbers()) == [2, 3, 4]
 
 
 class TestIntervalMap:
@@ -245,6 +244,30 @@ class TestPhysicalMemory:
         mem.release(region, "a")
         assert mem.resident_pages == 0
         assert mem.read(region.start, 6) == b"\x00" * 6
+
+    def test_multibyte_items_write_their_bytes(self):
+        """A buffer of 4-byte items crossing a page writes its bytes,
+        and every backing page stays exactly one page long."""
+        mem = PhysicalMemory(16 * PAGE_SIZE)
+        a = array("I", range(8))
+        mem.write(PAGE_SIZE - 12, a)
+        assert mem.read(PAGE_SIZE - 12, len(a.tobytes())) == a.tobytes()
+        assert mem.resident_pages == 2
+        assert all(len(page) == PAGE_SIZE for page in mem._pages.values())
+
+    def test_release_of_large_region_drops_only_its_pages(self):
+        mem = PhysicalMemory(16 * GiB)
+        region = mem.allocate(14 * GiB, "a")
+        outside = region.end
+        mem.write(region.start, b"first")
+        mem.write(region.end - 5, b"last!")
+        mem.write(outside, b"keep")
+        assert mem.resident_pages == 3
+        mem.release(region, "a")
+        assert mem.resident_pages == 1
+        assert mem.read(region.start, 5) == bytes(5)
+        assert mem.read(region.end - 5, 5) == bytes(5)
+        assert mem.read(outside, 4) == b"keep"
 
     def test_owned_by(self):
         mem = PhysicalMemory(16 * PAGE_SIZE)
