@@ -36,16 +36,11 @@ try:
 except ImportError:  # pragma: no cover - direct invocation convenience
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.features import CovirtConfig, EVALUATION_CONFIGS
+from repro.core.features import CovirtConfig
 from repro.fuzz.rng import DEFAULT_SEED
-from repro.harness.env import (
-    CovirtEnvironment,
-    EVALUATION_LAYOUTS,
-    MICROBENCH_LAYOUT,
-    Layout,
-)
+from repro.harness import experiments as ex
+from repro.harness.env import CovirtEnvironment, Layout
 from repro.hw.clock import CYCLES_PER_US
-from repro.hw.memory import page_align_up
 from repro.obs import metric_names
 from repro.obs.scenario import WILD_ADDR, protection_probe
 from repro.obs.schema import (
@@ -53,19 +48,9 @@ from repro.obs.schema import (
     BENCH_SCHEMA_VERSION,
     validate_bench,
 )
-from repro.workloads.base import Workload, WorkloadResult
-from repro.workloads.hpcg import Hpcg
-from repro.workloads.lammps import LAMMPS_PROBLEMS, Lammps
-from repro.workloads.minife import MiniFE
-from repro.workloads.randomaccess import RandomAccess
-from repro.workloads.selfish import SelfishDetour
-from repro.workloads.stream import Stream
 
 MiB = 1 << 20
 GiB = 1 << 30
-
-#: Attach-latency histogram recorded by the fig4 scenario (cycles).
-ATTACH_CYCLES = "bench.attach_cycles"
 
 #: Small fully-protected enclave every scenario probes once, so each
 #: artifact's ``exits_by_reason`` covers the whole protection surface.
@@ -78,149 +63,21 @@ def _probe(env: CovirtEnvironment) -> None:
     env.teardown(enclave)
 
 
-def _row(res: WorkloadResult) -> dict[str, Any]:
-    return {
-        "workload": res.workload,
-        "config": res.config_label,
-        "layout": res.layout_label,
-        "ncores": res.ncores,
-        "elapsed_cycles": res.elapsed_cycles,
-        "fom": round(res.fom, 4),
-        "fom_name": res.fom_name,
-        "higher_is_better": res.higher_is_better,
-    }
+def _figure(*panels: Callable[..., list[dict[str, Any]]]) -> Callable:
+    """A paper-figure scenario: each panel's rows in turn on the one
+    env (:mod:`repro.harness.experiments` defines them), then the probe."""
 
+    def scenario(env: CovirtEnvironment, quick: bool) -> list[dict[str, Any]]:
+        rows = []
+        for panel in panels:
+            rows += panel(env, quick)
+        _probe(env)
+        return rows
 
-def _configs(quick: bool) -> list[tuple[str, CovirtConfig | None]]:
-    if quick:
-        return [EVALUATION_CONFIGS[0], EVALUATION_CONFIGS[3]]
-    return list(EVALUATION_CONFIGS)
-
-
-def _sweep(
-    env: CovirtEnvironment,
-    workload_factory: Callable[[], Workload],
-    layout: Layout,
-    quick: bool,
-) -> list[dict[str, Any]]:
-    """One workload x the evaluation configs, on this env's machine."""
-    rows = []
-    for label, config in _configs(quick):
-        workload = workload_factory()
-        enclave = env.launch(layout, config, name=f"{workload.name}-{label}")
-        rows.append(_row(env.engine.run(workload, enclave)))
-        env.teardown(enclave)
-    return rows
+    return scenario
 
 
 # -- scenarios --------------------------------------------------------------
-
-
-def bench_fig3(env: CovirtEnvironment, quick: bool) -> list[dict[str, Any]]:
-    """Fig. 3: Selfish-Detour noise profile across configurations."""
-    duration = 0.5 if quick else 10.0
-    rows = _sweep(env, lambda: SelfishDetour(duration), MICROBENCH_LAYOUT, quick)
-    workload = SelfishDetour(duration)
-    for row in rows:
-        trace = workload.sample(row["config"])
-        row["detours"] = trace.count
-        row["max_detour_us"] = round(trace.max_detour_us(), 3)
-        row["noise_fraction"] = trace.noise_fraction
-    _probe(env)
-    return rows
-
-
-def bench_fig4(env: CovirtEnvironment, quick: bool) -> list[dict[str, Any]]:
-    """Fig. 4: XEMEM attach latency vs region size, Covirt on/off."""
-    sizes_mb = [1, 16, 256] if quick else [1, 4, 16, 64, 256, 1024]
-    attach_hist = env.machine.obs.metrics.histogram(
-        ATTACH_CYCLES, "XEMEM attach latency (cycles)"
-    )
-    rows = []
-    for mode, config in [
-        ("covirt-off", None),
-        ("covirt-on", CovirtConfig.memory_only()),
-    ]:
-        owner = env.launch(
-            Layout("owner", {0: 1}, {0: 4 * GiB}), config, name=f"owner-{mode}"
-        )
-        attacher = env.launch(
-            Layout("attacher", {1: 1}, {1: 2 * GiB}), config,
-            name=f"attacher-{mode}",
-        )
-        task = owner.kernel.spawn(
-            "exporter", mem_bytes=page_align_up(1100 * MiB)
-        )
-        base = task.slices[0].start
-        attach_core = attacher.assignment.core_ids[0]
-        core = env.machine.core(attach_core)
-        for i, size_mb in enumerate(sizes_mb):
-            seg = env.mcp.xemem.make(
-                owner.enclave_id, f"{mode}-region-{i}", base, size_mb * MiB
-            )
-            t0 = core.read_tsc()
-            env.mcp.xemem.attach(
-                attacher.enclave_id, seg.segid, core_hint=attach_core
-            )
-            cycles = core.read_tsc() - t0
-            attach_hist.observe(cycles, mode=mode)
-            env.mcp.xemem.detach(
-                attacher.enclave_id, seg.segid, core_hint=attach_core
-            )
-            env.mcp.xemem.remove(seg.segid)
-            rows.append(
-                {
-                    "region_mb": size_mb,
-                    "mode": mode,
-                    "attach_us": round(cycles / CYCLES_PER_US, 3),
-                }
-            )
-        env.teardown(attacher)
-        env.teardown(owner)
-    _probe(env)
-    return rows
-
-
-def bench_fig5(env: CovirtEnvironment, quick: bool) -> list[dict[str, Any]]:
-    """Fig. 5: STREAM and RandomAccess microbenchmarks across configs."""
-    rows = _sweep(env, Stream, MICROBENCH_LAYOUT, quick)
-    rows += _sweep(env, RandomAccess, MICROBENCH_LAYOUT, quick)
-    _probe(env)
-    return rows
-
-
-def _scaling(
-    env: CovirtEnvironment, workload_factory, quick: bool
-) -> list[dict[str, Any]]:
-    layouts = EVALUATION_LAYOUTS[:1] if quick else EVALUATION_LAYOUTS
-    rows = []
-    for layout in layouts:
-        rows += _sweep(env, workload_factory, layout, quick)
-    _probe(env)
-    return rows
-
-
-def bench_fig6(env: CovirtEnvironment, quick: bool) -> list[dict[str, Any]]:
-    """Fig. 6: MiniFE scaling over CPU-core/NUMA-zone layouts."""
-    return _scaling(env, MiniFE, quick)
-
-
-def bench_fig7(env: CovirtEnvironment, quick: bool) -> list[dict[str, Any]]:
-    """Fig. 7: HPCG scaling over CPU-core/NUMA-zone layouts."""
-    return _scaling(env, Hpcg, quick)
-
-
-def bench_fig8(env: CovirtEnvironment, quick: bool) -> list[dict[str, Any]]:
-    """Fig. 8: LAMMPS loop times on the 8c/2n layout."""
-    problems = sorted(LAMMPS_PROBLEMS)
-    if quick:
-        problems = problems[:1]
-    layout = EVALUATION_LAYOUTS[3]
-    rows = []
-    for problem in problems:
-        rows += _sweep(env, lambda: Lammps(problem), layout, quick)
-    _probe(env)
-    return rows
 
 
 def bench_recovery(env: CovirtEnvironment, quick: bool) -> list[dict[str, Any]]:
@@ -345,12 +202,15 @@ def bench_telemetry(env: CovirtEnvironment, quick: bool) -> list[dict[str, Any]]
 
 
 SCENARIOS: dict[str, tuple[str, Callable]] = {
-    "fig3": ("Fig. 3: Selfish-Detour noise profile", bench_fig3),
-    "fig4": ("Fig. 4: XEMEM attach delay", bench_fig4),
-    "fig5": ("Fig. 5: STREAM / RandomAccess microbenchmarks", bench_fig5),
-    "fig6": ("Fig. 6: MiniFE scaling over layouts", bench_fig6),
-    "fig7": ("Fig. 7: HPCG scaling over layouts", bench_fig7),
-    "fig8": ("Fig. 8: LAMMPS loop times (8c/2n)", bench_fig8),
+    "fig3": ("Fig. 3: Selfish-Detour noise profile", _figure(ex.fig3)),
+    "fig4": ("Fig. 4: XEMEM attach delay", _figure(ex.fig4)),
+    "fig5": (
+        "Fig. 5: STREAM / RandomAccess microbenchmarks",
+        _figure(ex.fig5a, ex.fig5b),
+    ),
+    "fig6": ("Fig. 6: MiniFE scaling over layouts", _figure(ex.fig6)),
+    "fig7": ("Fig. 7: HPCG scaling over layouts", _figure(ex.fig7)),
+    "fig8": ("Fig. 8: LAMMPS loop times (8c/2n)", _figure(ex.fig8)),
     "recovery": ("Fault-containment MTTR and checkpoint costs", bench_recovery),
     "fuzz": ("Coverage-guided vs random fuzzing reach", bench_fuzz),
     "sweep": ("Scenario sweep: per-cell medians across the grid", bench_sweep),

@@ -7,7 +7,8 @@ like if interrupt virtualization *did* add periodic work — the negative
 result that makes Fig. 3 meaningful.
 """
 
-from repro.harness.experiments import run_fig3_selfish
+from repro.harness.env import CovirtEnvironment
+from repro.harness.experiments import fig3
 from repro.hw.clock import CYCLES_PER_SECOND
 from repro.perf.sampling import DetourSampler, NoiseSource
 from repro.workloads.selfish import SelfishDetour
@@ -16,7 +17,11 @@ BINS_US = [0.5, 1.0, 2.0, 5.0, 20.0]
 
 
 def main() -> None:
-    print(run_fig3_selfish(duration_seconds=10.0).render())
+    print("Fig. 3: Selfish-Detour noise profile (10 s run):")
+    for row in fig3(CovirtEnvironment()):
+        print(f"  {row['config']:15s} {row['detours']:4d} detours, "
+              f"max {row['max_detour_us']:.3f} us, "
+              f"{row['noise_fraction'] * 100:.5f}% of cycles lost")
 
     print("\nDetour histograms (10 s run):")
     workload = SelfishDetour(duration_seconds=10.0)

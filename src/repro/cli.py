@@ -11,17 +11,35 @@ import sys
 from typing import Callable
 
 from repro.harness import experiments as ex
+from repro.harness.env import CovirtEnvironment
+
+
+def _figure(
+    title: str, rows: Callable[[CovirtEnvironment], list[dict]]
+) -> Callable[[], "ex.ExperimentResult"]:
+    """A paper figure's rows, run on a fresh environment, as a table."""
+
+    def driver() -> ex.ExperimentResult:
+        return ex.ExperimentResult.from_rows(title, rows(CovirtEnvironment()))
+
+    driver.__doc__ = rows.__doc__
+    return driver
+
 
 #: experiment name → driver
 EXPERIMENTS: dict[str, Callable[[], "ex.ExperimentResult"]] = {
     "table1": ex.run_table1,
-    "fig3": ex.run_fig3_selfish,
-    "fig4": ex.run_fig4_xemem,
-    "fig5a": ex.run_fig5_stream,
-    "fig5b": ex.run_fig5_randomaccess,
-    "fig6": ex.run_fig6_minife,
-    "fig7": ex.run_fig7_hpcg,
-    "fig8": ex.run_fig8_lammps,
+    "fig3": _figure("Fig. 3: Selfish-Detour noise profile", ex.fig3),
+    "fig4": _figure("Fig. 4: XEMEM attach delay", ex.fig4),
+    "fig5a": _figure("Fig. 5a: STREAM (1 core)", ex.fig5a),
+    "fig5b": _figure("Fig. 5b: RandomAccess (1 core)", ex.fig5b),
+    "fig6": _figure(
+        "Fig. 6: MiniFE scaling over CPU-core/NUMA-zone layouts", ex.fig6
+    ),
+    "fig7": _figure(
+        "Fig. 7: HPCG scaling over CPU-core/NUMA-zone layouts", ex.fig7
+    ),
+    "fig8": _figure("Fig. 8: LAMMPS loop times, 8c/2n", ex.fig8),
     "ablation-coalescing": ex.run_ablation_coalescing,
     "ablation-ipi-mode": ex.run_ablation_ipi_mode,
     "ablation-async": ex.run_ablation_async_config,

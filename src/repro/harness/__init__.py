@@ -3,13 +3,13 @@
 from repro.harness.env import CovirtEnvironment, EVALUATION_LAYOUTS
 from repro.harness.experiments import (
     run_table1,
-    run_fig3_selfish,
-    run_fig4_xemem,
-    run_fig5_stream,
-    run_fig5_randomaccess,
-    run_fig6_minife,
-    run_fig7_hpcg,
-    run_fig8_lammps,
+    fig3,
+    fig4,
+    fig5a,
+    fig5b,
+    fig6,
+    fig7,
+    fig8,
 )
 from repro.harness.report import format_rows, overhead_pct
 
@@ -17,13 +17,13 @@ __all__ = [
     "CovirtEnvironment",
     "EVALUATION_LAYOUTS",
     "run_table1",
-    "run_fig3_selfish",
-    "run_fig4_xemem",
-    "run_fig5_stream",
-    "run_fig5_randomaccess",
-    "run_fig6_minife",
-    "run_fig7_hpcg",
-    "run_fig8_lammps",
+    "fig3",
+    "fig4",
+    "fig5a",
+    "fig5b",
+    "fig6",
+    "fig7",
+    "fig8",
     "format_rows",
     "overhead_pct",
 ]

@@ -1,16 +1,21 @@
 """Experiment drivers: one per table/figure in the paper's evaluation.
 
-Each driver builds (or receives) a :class:`CovirtEnvironment`, runs the
-paper's sweep, and returns structured rows plus a rendered table whose
-columns match what the figure reports.  The pytest-benchmark targets in
-``benchmarks/`` wrap these.
+Figs. 3-8 are one row function per panel (:func:`fig3` ... :func:`fig8`):
+each runs the paper's sweep on the environment it is given and returns
+one dict per measurement.  Those rows are the single definition of the
+figure.  ``benchmarks/runner.py`` writes them into ``BENCH_fig*.json``,
+:mod:`repro.harness.verify` measures the paper's claims from them, and
+``python -m repro run`` renders them through
+:meth:`ExperimentResult.from_rows`.  Table I and the experiments beyond
+the paper (ablations, motivation, isolation, integration, sensitivity)
+return an :class:`ExperimentResult` directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.features import CovirtConfig, EVALUATION_CONFIGS
 from repro.harness.env import (
@@ -19,7 +24,7 @@ from repro.harness.env import (
     MICROBENCH_LAYOUT,
     Layout,
 )
-from repro.harness.report import format_rows, overhead_pct
+from repro.harness.report import format_rows
 from repro.hw.clock import CYCLES_PER_US
 from repro.hw.memory import page_align_up
 from repro.workloads.base import Workload, WorkloadResult
@@ -32,6 +37,7 @@ from repro.workloads.selfish import SelfishDetour
 from repro.workloads.stream import Stream
 
 MiB = 1 << 20
+GiB = 1 << 30
 
 
 def experiment_rng(name: str):
@@ -54,6 +60,20 @@ class ExperimentResult:
     headers: list[str]
     rows: list[list[Any]]
     notes: str = ""
+
+    @classmethod
+    def from_rows(
+        cls, experiment: str, rows: list[dict[str, Any]]
+    ) -> "ExperimentResult":
+        """A figure's rows as a table: one column per row key, plus each
+        row's ``overhead`` vs native when the rows carry cycle counts."""
+        headers = list(rows[0])
+        cells = [list(row.values()) for row in rows]
+        if "elapsed_cycles" in headers:
+            headers.append("overhead")
+            for row_cells, overhead in zip(cells, overheads(rows)):
+                row_cells.append(f"{overhead * 100:+.2f}%")
+        return cls(experiment, headers, cells)
 
     def render(self) -> str:
         table = format_rows(self.headers, self.rows, title=self.experiment)
@@ -115,246 +135,183 @@ def run_table1(validate_kernels: bool = False) -> ExperimentResult:
     )
 
 
-# -- Fig. 3: Selfish Detour ------------------------------------------------
+# -- Figs. 3-8: one row function per figure panel ---------------------------
+#
+# ``quick`` trims each sweep (fewer configs, layouts, sizes) for the CI
+# smoke job.
 
 
-def run_fig3_selfish(duration_seconds: float = 10.0) -> ExperimentResult:
-    """Fig. 3: noise profile per Covirt configuration.
+def _configs(quick: bool) -> list[tuple[str, CovirtConfig | None]]:
+    if quick:
+        return [EVALUATION_CONFIGS[0], EVALUATION_CONFIGS[3]]
+    return list(EVALUATION_CONFIGS)
+
+
+def _row(res: WorkloadResult) -> dict[str, Any]:
+    return {
+        "workload": res.workload,
+        "config": res.config_label,
+        "layout": res.layout_label,
+        "ncores": res.ncores,
+        "elapsed_cycles": res.elapsed_cycles,
+        "fom": round(res.fom, 4),
+        "fom_name": res.fom_name,
+        "higher_is_better": res.higher_is_better,
+    }
+
+
+def _sweep(
+    env: CovirtEnvironment,
+    workload_factory: Callable[[], Workload],
+    layouts: list[Layout],
+    quick: bool,
+) -> list[dict[str, Any]]:
+    """One workload x each layout x the evaluation configs, one enclave
+    at a time on ``env``'s machine."""
+    rows = []
+    for layout in layouts:
+        for label, config in _configs(quick):
+            workload = workload_factory()
+            enclave = env.launch(layout, config, name=f"{workload.name}-{label}")
+            rows.append(_row(env.engine.run(workload, enclave)))
+            env.teardown(enclave)
+    return rows
+
+
+def overheads(rows: list[dict[str, Any]]) -> list[float]:
+    """Each row's slowdown versus the native row with the same workload
+    and layout: ``elapsed_cycles / native elapsed_cycles - 1``."""
+    native = {
+        (row["workload"], row["layout"]): row["elapsed_cycles"]
+        for row in rows
+        if row["config"] == "native"
+    }
+    return [
+        row["elapsed_cycles"] / native[row["workload"], row["layout"]] - 1.0
+        for row in rows
+    ]
+
+
+def fig3(env: CovirtEnvironment, quick: bool = False) -> list[dict[str, Any]]:
+    """Fig. 3: Selfish-Detour noise profile across configurations.
 
     Expected shape: detour *counts* identical in every configuration
     (virtualization adds no noise events), durations shifted by at most
     the exit cost on interrupt-virtualizing configs.
     """
-    workload = SelfishDetour(duration_seconds)
-    rows = []
-    for label, _config in EVALUATION_CONFIGS:
-        trace = workload.sample(label)
-        rows.append(
-            [
-                label,
-                trace.count,
-                round(trace.max_detour_us(), 3),
-                f"{trace.noise_fraction * 100:.5f}%",
-            ]
-        )
-    return ExperimentResult(
-        experiment="Fig. 3: Selfish-Detour noise profile",
-        headers=["config", "detours", "max detour (us)", "noise fraction"],
-        rows=rows,
-        notes="Counts identical across configs: virtualization adds no noise events.",
-    )
+    duration = 0.5 if quick else 10.0
+    rows = _sweep(env, lambda: SelfishDetour(duration), [MICROBENCH_LAYOUT], quick)
+    workload = SelfishDetour(duration)
+    for row in rows:
+        trace = workload.sample(row["config"])
+        row["detours"] = trace.count
+        row["max_detour_us"] = round(trace.max_detour_us(), 3)
+        row["noise_fraction"] = trace.noise_fraction
+    return rows
 
 
-# -- Fig. 4: XEMEM attach latency ----------------------------------------
-
-
-def run_fig4_xemem(
-    env: CovirtEnvironment | None = None,
-    sizes_mb: list[int] | None = None,
-) -> ExperimentResult:
+def fig4(env: CovirtEnvironment, quick: bool = False) -> list[dict[str, Any]]:
     """Fig. 4: XEMEM attach latency vs region size, Covirt on/off.
 
     Two enclaves per mode (owner exports, attacher attaches); latency is
     TSC-sampled on the attaching core around the attach call, exactly as
-    the paper measures it.
+    the paper measures it, and also lands in the ``bench.attach_cycles``
+    histogram.  Expected shape: the curves overlap, because Covirt's EPT
+    update rides the existing control path.
     """
-    sizes_mb = sizes_mb or [1, 4, 16, 64, 256, 1024]
-    results: dict[str, list[float]] = {}
-    for mode_label, config in [
+    sizes_mb = [1, 16, 256] if quick else [1, 4, 16, 64, 256, 1024]
+    attach_hist = env.machine.obs.metrics.histogram(
+        "bench.attach_cycles", "XEMEM attach latency (cycles)"
+    )
+    rows = []
+    for mode, config in [
         ("covirt-off", None),
         ("covirt-on", CovirtConfig.memory_only()),
     ]:
-        # Fresh environment per mode: enclaves occupy most of the machine.
-        e = CovirtEnvironment()
-        owner_layout = Layout(
-            "owner", {0: 1}, {0: 4 * 1024 * MiB}
+        owner = env.launch(
+            Layout("owner", {0: 1}, {0: 4 * GiB}), config, name=f"owner-{mode}"
         )
-        attacher_layout = Layout(
-            "attacher", {1: 1}, {1: 2 * 1024 * MiB}
+        attacher = env.launch(
+            Layout("attacher", {1: 1}, {1: 2 * GiB}), config,
+            name=f"attacher-{mode}",
         )
-        owner = e.controller.launch(owner_layout.spec("owner"), config)
-        attacher = e.controller.launch(attacher_layout.spec("attacher"), config)
-        okernel = owner.kernel
-        assert okernel is not None
-        task = okernel.spawn("exporter", mem_bytes=page_align_up(1100 * MiB))
+        task = owner.kernel.spawn(
+            "exporter", mem_bytes=page_align_up(1100 * MiB)
+        )
         base = task.slices[0].start
         attach_core = attacher.assignment.core_ids[0]
-        core = e.machine.core(attach_core)
-        latencies = []
+        core = env.machine.core(attach_core)
         for i, size_mb in enumerate(sizes_mb):
-            size = size_mb * MiB
-            seg = e.mcp.xemem.make(
-                owner.enclave_id, f"region-{i}", base, size
+            seg = env.mcp.xemem.make(
+                owner.enclave_id, f"{mode}-region-{i}", base, size_mb * MiB
             )
             t0 = core.read_tsc()
-            e.mcp.xemem.attach(
+            env.mcp.xemem.attach(
                 attacher.enclave_id, seg.segid, core_hint=attach_core
             )
-            t1 = core.read_tsc()
-            latencies.append((t1 - t0) / CYCLES_PER_US)
-            e.mcp.xemem.detach(
+            cycles = core.read_tsc() - t0
+            attach_hist.observe(cycles, mode=mode)
+            env.mcp.xemem.detach(
                 attacher.enclave_id, seg.segid, core_hint=attach_core
             )
-            e.mcp.xemem.remove(seg.segid)
-        results[mode_label] = latencies
-    rows = [
-        [
-            f"{size} MB",
-            round(off, 1),
-            round(on, 1),
-            f"{overhead_pct(on, off):+.2f}%",
-        ]
-        for size, off, on in zip(
-            sizes_mb, results["covirt-off"], results["covirt-on"]
-        )
-    ]
-    return ExperimentResult(
-        experiment="Fig. 4: XEMEM attach delay",
-        headers=["region size", "no covirt (us)", "covirt (us)", "delta"],
-        rows=rows,
-        notes="Covirt's EPT update rides the existing control path: curves overlap.",
-    )
-
-
-# -- generic config sweep ---------------------------------------------------
-
-
-def _sweep_configs(
-    workload: Workload,
-    layout: Layout,
-    env: CovirtEnvironment | None = None,
-) -> list[WorkloadResult]:
-    """Run one workload × every evaluation config on fresh enclaves."""
-    results = []
-    for label, config in EVALUATION_CONFIGS:
-        e = env if env is not None else CovirtEnvironment()
-        enclave = e.launch(layout, config, name=f"{workload.name}-{label}")
-        results.append(e.engine.run(workload, enclave))
-        e.teardown(enclave)
-    return results
-
-
-def _overhead_rows(results: list[WorkloadResult]) -> list[list[Any]]:
-    native = results[0]
-    rows = []
-    for res in results:
-        rows.append(
-            [
-                res.config_label,
-                res.layout_label,
-                round(res.fom, 3),
-                f"{res.overhead_vs(native) * 100:+.2f}%",
-            ]
-        )
+            env.mcp.xemem.remove(seg.segid)
+            rows.append(
+                {
+                    "region_mb": size_mb,
+                    "mode": mode,
+                    "attach_us": round(cycles / CYCLES_PER_US, 3),
+                }
+            )
+        env.teardown(attacher)
+        env.teardown(owner)
     return rows
 
 
-# -- Fig. 5: STREAM and RandomAccess ---------------------------------------
+def fig5a(env: CovirtEnvironment, quick: bool = False) -> list[dict[str, Any]]:
+    """Fig. 5a: STREAM across configs — no noticeable overhead.
+
+    Sequential traffic amortises EPT walks, so every config runs ~native.
+    """
+    return _sweep(env, Stream, [MICROBENCH_LAYOUT], quick)
 
 
-def run_fig5_stream(env: CovirtEnvironment | None = None) -> ExperimentResult:
-    """Fig. 5a: STREAM across configs — no noticeable overhead."""
-    results = _sweep_configs(Stream(), MICROBENCH_LAYOUT, env)
-    return ExperimentResult(
-        experiment="Fig. 5a: STREAM (triad MB/s, 1 core)",
-        headers=["config", "layout", "MB/s", "overhead"],
-        rows=_overhead_rows(results),
-        notes="Sequential traffic amortises EPT walks: all configs ~native.",
-    )
+def fig5b(env: CovirtEnvironment, quick: bool = False) -> list[dict[str, Any]]:
+    """Fig. 5b: RandomAccess — ~1.8 % (mem), worst case ~3.1 % (mem+IPI).
+
+    TLB-hostile updates expose the nested-walk cost.
+    """
+    return _sweep(env, RandomAccess, [MICROBENCH_LAYOUT], quick)
 
 
-def run_fig5_randomaccess(
-    env: CovirtEnvironment | None = None,
-) -> ExperimentResult:
-    """Fig. 5b: RandomAccess — worst case ~3.1 % (mem+IPI), ~1.8 % (mem)."""
-    results = _sweep_configs(RandomAccess(), MICROBENCH_LAYOUT, env)
-    return ExperimentResult(
-        experiment="Fig. 5b: RandomAccess (GUP/s, 1 core)",
-        headers=["config", "layout", "GUP/s", "overhead"],
-        rows=_overhead_rows(results),
-        notes="TLB-hostile updates expose the nested-walk cost.",
-    )
+def _layouts(quick: bool) -> list[Layout]:
+    return EVALUATION_LAYOUTS[:1] if quick else EVALUATION_LAYOUTS
 
 
-# -- Figs. 6 & 7: mini-app scaling over layouts ----------------------------
-
-
-def _run_scaling(workload_factory, title, fom_label) -> ExperimentResult:
-    rows: list[list[Any]] = []
-    for layout in EVALUATION_LAYOUTS:
-        native_result: WorkloadResult | None = None
-        for label, config in EVALUATION_CONFIGS:
-            env = CovirtEnvironment()
-            enclave = env.launch(layout, config)
-            result = env.engine.run(workload_factory(), enclave)
-            env.teardown(enclave)
-            if native_result is None:
-                native_result = result
-            rows.append(
-                [
-                    layout.label,
-                    label,
-                    round(result.fom, 2),
-                    f"{result.overhead_vs(native_result) * 100:+.2f}%",
-                ]
-            )
-    return ExperimentResult(
-        experiment=title,
-        headers=["layout", "config", fom_label, "overhead"],
-        rows=rows,
-    )
-
-
-def run_fig6_minife() -> ExperimentResult:
+def fig6(env: CovirtEnvironment, quick: bool = False) -> list[dict[str, Any]]:
     """Fig. 6: MiniFE over core/NUMA layouts — no noticeable overhead."""
-    return _run_scaling(
-        MiniFE, "Fig. 6: MiniFE scaling over CPU-core/NUMA-zone layouts",
-        "CG MFLOP/s",
-    )
+    return _sweep(env, MiniFE, _layouts(quick), quick)
 
 
-def run_fig7_hpcg() -> ExperimentResult:
+def fig7(env: CovirtEnvironment, quick: bool = False) -> list[dict[str, Any]]:
     """Fig. 7: HPCG over layouts — constant ~1.4 % worst-case penalty."""
-    return _run_scaling(
-        Hpcg, "Fig. 7: HPCG scaling over CPU-core/NUMA-zone layouts",
-        "GFLOP/s",
-    )
+    return _sweep(env, Hpcg, _layouts(quick), quick)
 
 
-# -- Fig. 8: LAMMPS ---------------------------------------------------------
-
-
-def run_fig8_lammps() -> ExperimentResult:
+def fig8(env: CovirtEnvironment, quick: bool = False) -> list[dict[str, Any]]:
     """Fig. 8: LAMMPS loop times, 8 cores / 2 zones.
 
     Expected shape: lj/eam/chain near-identical across configs; chute
     the most protection-sensitive, with native / covirt-none fastest.
     """
-    layout = EVALUATION_LAYOUTS[3]  # 8c/2n
-    rows: list[list[Any]] = []
-    for problem in LAMMPS_PROBLEMS:
-        native: WorkloadResult | None = None
-        for label, config in EVALUATION_CONFIGS:
-            env = CovirtEnvironment()
-            enclave = env.launch(layout, config)
-            result = env.engine.run(Lammps(problem), enclave)
-            env.teardown(enclave)
-            if native is None:
-                native = result
-            rows.append(
-                [
-                    problem,
-                    label,
-                    round(result.fom, 2),
-                    f"{result.overhead_vs(native) * 100:+.2f}%",
-                ]
-            )
-    return ExperimentResult(
-        experiment="Fig. 8: LAMMPS loop times (s, lower is better), 8c/2n",
-        headers=["problem", "config", "loop time (s)", "overhead"],
-        rows=rows,
-        notes="chute is the protection-sensitive outlier, as in the paper.",
-    )
+    problems = sorted(LAMMPS_PROBLEMS)
+    if quick:
+        problems = problems[:1]
+    rows = []
+    for problem in problems:
+        rows += _sweep(
+            env, lambda: Lammps(problem), [EVALUATION_LAYOUTS[3]], quick
+        )
+    return rows
 
 
 # -- ablations (design choices DESIGN.md calls out; beyond the paper) -------

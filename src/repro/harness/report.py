@@ -41,5 +41,7 @@ def _fmt(cell: Any) -> str:
             return f"{cell:,.0f}"
         if abs(cell) >= 10:
             return f"{cell:.1f}"
+        if 0 < abs(cell) < 0.001:
+            return f"{cell:.3g}"  # e.g. a noise fraction: not "0.000"
         return f"{cell:.3f}"
     return str(cell)

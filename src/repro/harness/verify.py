@@ -1,26 +1,22 @@
 """One-shot reproduction verification.
 
-Runs every experiment and checks the paper's *shape claims* as explicit
-bands — the same bands the test suite pins, but packaged as a single
-report a reader can run (``python -m repro verify``) to see
+Runs every figure's rows (:mod:`repro.harness.experiments`) on a fresh
+environment and checks the paper's *shape claims* against them as
+explicit bands — the same bands the test suite pins, but packaged as a
+single report a reader can run (``python -m repro verify``) to see
 paper-vs-measured at a glance.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from repro.harness import experiments as ex
-from repro.harness.experiments import ExperimentResult
-from repro.harness.report import format_rows
+from repro.harness.env import CovirtEnvironment
+from repro.harness.report import format_rows, overhead_pct
 
-
-def _pct(cell: str) -> float:
-    match = re.match(r"([+-]?\d+(\.\d+)?)", str(cell).strip())
-    assert match, f"not numeric: {cell!r}"
-    return float(match.group(1))
+Rows = list[dict[str, Any]]
 
 
 @dataclass
@@ -30,41 +26,44 @@ class Claim:
     figure: str
     claim: str
     band: str
-    measure: Callable[[ExperimentResult], float]
+    measure: Callable[[Rows], float]
     low: float
     high: float
 
-    def evaluate(self, result: ExperimentResult) -> tuple[float, bool]:
-        value = self.measure(result)
+    def evaluate(self, rows: Rows) -> tuple[float, bool]:
+        value = self.measure(rows)
         return value, self.low <= value <= self.high
 
 
-def _config_overhead(result: ExperimentResult, config: str) -> float:
-    rows = dict(zip(result.column("config"), result.column("overhead")))
-    return _pct(rows[config])
+def _worst_overhead_pct(rows: Rows, **match: str) -> float:
+    """The largest overhead (%) among the rows whose fields equal ``match``."""
+    return 100 * max(
+        overhead
+        for row, overhead in zip(rows, ex.overheads(rows))
+        if all(row[key] == value for key, value in match.items())
+    )
 
 
-def _worst_overhead(result: ExperimentResult, where: str | None = None,
-                    key_col: str = "problem") -> float:
-    values = []
-    for row in result.rows:
-        record = dict(zip(result.headers, row))
-        if where is not None and record.get(key_col) != where:
-            continue
-        values.append(_pct(record["overhead"]))
-    return max(values)
+def _attach_delta_pct(rows: Rows, region_mb: int) -> float:
+    latency = {
+        row["mode"]: row["attach_us"]
+        for row in rows
+        if row["region_mb"] == region_mb
+    }
+    return overhead_pct(latency["covirt-on"], latency["covirt-off"])
 
 
-CLAIMS: list[tuple[str, Callable[[], ExperimentResult], list[Claim]]] = [
+CLAIMS: list[tuple[str, Callable[[], Rows], list[Claim]]] = [
     (
         "fig3",
-        lambda: ex.run_fig3_selfish(duration_seconds=10.0),
+        lambda: ex.fig3(CovirtEnvironment()),
         [
             Claim(
                 "Fig. 3", "noise profiles show little variation",
                 "detour-count spread = 0",
-                lambda r: float(
-                    max(r.column("detours")) - min(r.column("detours"))
+                lambda rows: float(
+                    max(row["detours"] for row in rows)
+                    - min(row["detours"] for row in rows)
                 ),
                 0.0, 0.0,
             )
@@ -72,79 +71,79 @@ CLAIMS: list[tuple[str, Callable[[], ExperimentResult], list[Claim]]] = [
     ),
     (
         "fig4",
-        lambda: ex.run_fig4_xemem(sizes_mb=[1, 16, 256, 1024]),
+        lambda: ex.fig4(CovirtEnvironment()),
         [
             Claim(
                 "Fig. 4", "attach overhead little-to-none, shrinking",
                 "delta at 1 GB < 1 %",
-                lambda r: _pct(r.column("delta")[-1]),
+                lambda rows: _attach_delta_pct(rows, 1024),
                 -1.0, 1.0,
             )
         ],
     ),
     (
         "fig5a",
-        ex.run_fig5_stream,
+        lambda: ex.fig5a(CovirtEnvironment()),
         [
             Claim(
                 "Fig. 5a", "STREAM: no noticeable overhead",
                 "worst config < 0.5 %",
-                lambda r: max(_pct(c) for c in r.column("overhead")),
+                _worst_overhead_pct,
                 0.0, 0.5,
             )
         ],
     ),
     (
         "fig5b",
-        ex.run_fig5_randomaccess,
+        lambda: ex.fig5b(CovirtEnvironment()),
         [
             Claim(
                 "Fig. 5b", "memory protection adds ~1.8 %",
                 "1.0–2.5 %",
-                lambda r: _config_overhead(r, "covirt-mem"),
+                lambda rows: _worst_overhead_pct(rows, config="covirt-mem"),
                 1.0, 2.5,
             ),
             Claim(
                 "Fig. 5b", "worst case (mem+IPI) ~3.1 %",
                 "2.5–4.0 %",
-                lambda r: _config_overhead(r, "covirt-mem+ipi"),
+                lambda rows: _worst_overhead_pct(rows, config="covirt-mem+ipi"),
                 2.5, 4.0,
             ),
         ],
     ),
     (
         "fig6",
-        ex.run_fig6_minife,
+        lambda: ex.fig6(CovirtEnvironment()),
         [
             Claim(
                 "Fig. 6", "MiniFE: little to no overhead, all layouts",
                 "worst < 0.75 %",
-                lambda r: max(_pct(c) for c in r.column("overhead")),
+                _worst_overhead_pct,
                 0.0, 0.75,
             )
         ],
     ),
     (
         "fig7",
-        ex.run_fig7_hpcg,
+        lambda: ex.fig7(CovirtEnvironment()),
         [
             Claim(
                 "Fig. 7", "HPCG worst case ~1.4 %",
                 "0.8–2.0 %",
-                lambda r: max(_pct(c) for c in r.column("overhead")),
+                _worst_overhead_pct,
                 0.8, 2.0,
             )
         ],
     ),
     (
         "fig8",
-        ex.run_fig8_lammps,
+        lambda: ex.fig8(CovirtEnvironment()),
         [
             Claim(
                 "Fig. 8", "lj/eam/chain similar across configs",
                 "worst of the three < 2 %",
-                lambda r: max(
-                    _worst_overhead(r, problem)
+                lambda rows: max(
+                    _worst_overhead_pct(rows, workload=f"LAMMPS-{problem}")
                     for problem in ("lj", "eam", "chain")
                 ),
                 0.0, 2.0,
@@ -152,7 +151,7 @@ CLAIMS: list[tuple[str, Callable[[], ExperimentResult], list[Claim]]] = [
             Claim(
                 "Fig. 8", "chute most sensitive, still minimal",
                 "2–8 %",
-                lambda r: _worst_overhead(r, "chute"),
+                lambda rows: _worst_overhead_pct(rows, workload="LAMMPS-chute"),
                 2.0, 8.0,
             ),
         ],
@@ -165,9 +164,9 @@ def run_verification() -> tuple[str, bool]:
     rows = []
     all_ok = True
     for _name, driver, claims in CLAIMS:
-        result = driver()
+        figure_rows = driver()
         for claim in claims:
-            value, ok = claim.evaluate(result)
+            value, ok = claim.evaluate(figure_rows)
             all_ok &= ok
             rows.append(
                 [

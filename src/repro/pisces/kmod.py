@@ -281,7 +281,12 @@ class PiscesKmod:
         enclave.assignment.core_ids.clear()
 
     def destroy_enclave(self, enclave_id: int) -> None:
-        """Clean shutdown + reclaim."""
+        """Clean shutdown + reclaim, then forget the enclave.
+
+        Dropping the registry entry lets a destroyed enclave's kernel,
+        hypervisors and rings be freed with it.  ``FAILED`` enclaves
+        stay registered: recovery, the oracles and post-mortems read them.
+        """
         enclave = self.enclave(enclave_id)
         if enclave.state is EnclaveState.RUNNING:
             assert enclave.kernel is not None
@@ -290,3 +295,4 @@ class PiscesKmod:
                 self.machine.core(core_id).halt()
         enclave.state = EnclaveState.DESTROYED
         self.reclaim_enclave(enclave_id)
+        del self.enclaves[enclave_id]

@@ -5,17 +5,30 @@ roughly what factor, where the sensitivity lies.  Absolute numbers are
 the cost model's business; these bands are what reproduction means.
 """
 
-import re
-
 import pytest
 
 from repro.harness import experiments as ex
+from repro.harness.env import CovirtEnvironment
+from repro.harness.report import overhead_pct
+
+LAYOUTS = {"1c/1n", "4c/2n", "4c/1n", "8c/2n"}
 
 
-def pct(cell: str) -> float:
-    match = re.match(r"([+-]\d+(\.\d+)?)%", cell)
-    assert match, f"not a percentage: {cell!r}"
-    return float(match.group(1))
+def overhead_pcts(rows) -> list[float]:
+    return [100 * overhead for overhead in ex.overheads(rows)]
+
+
+def by_config(rows) -> dict[str, float]:
+    return dict(zip((row["config"] for row in rows), overhead_pcts(rows)))
+
+
+def fom(rows, **match) -> float:
+    (value,) = [
+        row["fom"]
+        for row in rows
+        if all(row[key] == want for key, want in match.items())
+    ]
+    return value
 
 
 class TestTable1:
@@ -44,48 +57,64 @@ class TestTable1:
 
 class TestFig3:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ex.run_fig3_selfish(duration_seconds=5.0)
+    def rows(self):
+        return ex.fig3(CovirtEnvironment())
 
-    def test_four_configs(self, result):
-        assert result.column("config") == [
+    def test_four_configs(self, rows):
+        assert [row["config"] for row in rows] == [
             "native",
             "covirt-none",
             "covirt-mem",
             "covirt-mem+ipi",
         ]
 
-    def test_detour_counts_identical(self, result):
+    def test_detour_counts_identical(self, rows):
         """Virtualization adds no noise *events* — the paper's headline
         Fig. 3 observation."""
-        counts = result.column("detours")
-        assert len(set(counts)) == 1
+        counts = {row["detours"] for row in rows}
+        assert len(counts) == 1
 
-    def test_noise_fraction_tiny_everywhere(self, result):
-        for cell in result.column("noise fraction"):
-            assert float(cell.rstrip("%")) < 0.01
+    def test_noise_fraction_tiny_everywhere(self, rows):
+        for row in rows:
+            assert row["noise_fraction"] * 100 < 0.01
 
-    def test_max_detour_bounded_by_exit_cost(self, result):
-        durations = result.column("max detour (us)")
+    def test_max_detour_bounded_by_exit_cost(self, rows):
+        durations = [row["max_detour_us"] for row in rows]
         assert max(durations) - min(durations) < 2.0  # microseconds
 
 
 class TestFig4:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ex.run_fig4_xemem(sizes_mb=[1, 16, 256, 1024])
+    def rows(self):
+        return ex.fig4(CovirtEnvironment())
 
-    def test_latency_grows_with_size(self, result):
-        lat = result.column("no covirt (us)")
+    @pytest.fixture(scope="class")
+    def deltas(self, rows):
+        """Covirt-on vs covirt-off attach delta (%) per region size,
+        smallest region first."""
+        latency = {(row["mode"], row["region_mb"]): row["attach_us"] for row in rows}
+        sizes = sorted({row["region_mb"] for row in rows})
+        return [
+            overhead_pct(latency["covirt-on", size], latency["covirt-off", size])
+            for size in sizes
+        ]
+
+    def test_every_size_in_both_modes(self, rows):
+        assert len(rows) == 12
+        assert [row["region_mb"] for row in rows if row["mode"] == "covirt-on"] == [
+            1, 4, 16, 64, 256, 1024,
+        ]
+
+    def test_latency_grows_with_size(self, rows):
+        lat = [row["attach_us"] for row in rows if row["mode"] == "covirt-off"]
         assert lat == sorted(lat)
 
-    def test_covirt_overhead_negligible(self, result):
+    def test_covirt_overhead_negligible(self, deltas):
         """'Covirt imposes little to no overhead for this range.'"""
-        for cell in result.column("delta"):
-            assert pct(cell) < 5.0
+        for delta in deltas:
+            assert delta < 5.0
 
-    def test_overhead_shrinks_with_size(self, result):
-        deltas = [pct(c) for c in result.column("delta")]
+    def test_overhead_shrinks_with_size(self, deltas):
         assert deltas[-1] < deltas[0]
         assert deltas[-1] < 1.0
 
@@ -93,110 +122,147 @@ class TestFig4:
 class TestFig5:
     @pytest.fixture(scope="class")
     def stream(self):
-        return ex.run_fig5_stream()
+        return ex.fig5a(CovirtEnvironment())
 
     @pytest.fixture(scope="class")
     def randomaccess(self):
-        return ex.run_fig5_randomaccess()
+        return ex.fig5b(CovirtEnvironment())
+
+    def test_every_config_once(self, stream, randomaccess):
+        assert len(stream) == len(randomaccess) == 4
 
     def test_stream_no_noticeable_overhead(self, stream):
-        for cell in stream.column("overhead"):
-            assert pct(cell) < 0.5
+        for overhead in overhead_pcts(stream):
+            assert overhead < 0.5
 
     def test_randomaccess_bands_match_paper(self, randomaccess):
-        overheads = dict(
-            zip(randomaccess.column("config"), randomaccess.column("overhead"))
-        )
+        overheads = by_config(randomaccess)
         # Paper: 1.8 % with memory protection, 3.1 % worst case.
-        assert 1.0 < pct(overheads["covirt-mem"]) < 2.5
-        assert 2.5 < pct(overheads["covirt-mem+ipi"]) < 4.0
-        assert pct(overheads["covirt-none"]) < 0.5
+        assert 1.0 < overheads["covirt-mem"] < 2.5
+        assert 2.5 < overheads["covirt-mem+ipi"] < 4.0
+        assert overheads["covirt-none"] < 0.5
 
     def test_randomaccess_worst_case_is_mem_ipi(self, randomaccess):
-        overheads = [pct(c) for c in randomaccess.column("overhead")]
+        overheads = overhead_pcts(randomaccess)
         assert max(overheads) == overheads[-1]
 
 
 class TestFig6And7:
     @pytest.fixture(scope="class")
     def minife(self):
-        return ex.run_fig6_minife()
+        return ex.fig6(CovirtEnvironment())
 
     @pytest.fixture(scope="class")
     def hpcg(self):
-        return ex.run_fig7_hpcg()
+        return ex.fig7(CovirtEnvironment())
 
-    def test_all_layouts_swept(self, minife):
-        assert set(minife.column("layout")) == {"1c/1n", "4c/2n", "4c/1n", "8c/2n"}
+    def test_all_layouts_swept(self, minife, hpcg):
+        assert {row["layout"] for row in minife} == LAYOUTS
+        assert len(minife) == len(hpcg) == 16  # 4 layouts x 4 configs
 
     def test_minife_no_noticeable_overhead(self, minife):
-        for cell in minife.column("overhead"):
-            assert pct(cell) < 0.75
+        for overhead in overhead_pcts(minife):
+            assert overhead < 0.75
 
     def test_hpcg_worst_case_band(self, hpcg):
-        overheads = [pct(c) for c in hpcg.column("overhead")]
+        overheads = overhead_pcts(hpcg)
         assert max(overheads) < 2.0  # paper: 1.4 % worst case
         assert max(overheads) > 0.8
 
     def test_hpcg_penalty_consistent_across_configs(self, hpcg):
         """Paper: a baseline penalty that stays roughly constant
         regardless of feature configuration."""
-        rows = list(zip(hpcg.column("layout"), hpcg.column("config"),
-                        [pct(c) for c in hpcg.column("overhead")]))
-        for layout in {"1c/1n", "4c/2n", "4c/1n", "8c/2n"}:
-            covirt = [o for l, c, o in rows if l == layout and c != "native"]
+        for layout in LAYOUTS:
+            covirt = [
+                overhead
+                for row, overhead in zip(hpcg, overhead_pcts(hpcg))
+                if row["layout"] == layout and row["config"] != "native"
+            ]
             assert max(covirt) - min(covirt) < 1.2
 
     def test_scaling_improves_fom(self, hpcg):
-        rows = dict(
-            ((l, c), f)
-            for l, c, f in zip(
-                hpcg.column("layout"), hpcg.column("config"), hpcg.column("GFLOP/s")
-            )
+        assert (
+            fom(hpcg, layout="8c/2n", config="native")
+            > fom(hpcg, layout="4c/2n", config="native")
+            > fom(hpcg, layout="1c/1n", config="native")
         )
-        assert rows[("8c/2n", "native")] > rows[("4c/2n", "native")] > rows[
-            ("1c/1n", "native")
-        ]
 
     def test_numa_split_beats_packed(self, hpcg):
-        rows = dict(
-            ((l, c), f)
-            for l, c, f in zip(
-                hpcg.column("layout"), hpcg.column("config"), hpcg.column("GFLOP/s")
-            )
+        assert fom(hpcg, layout="4c/2n", config="native") > fom(
+            hpcg, layout="4c/1n", config="native"
         )
-        assert rows[("4c/2n", "native")] > rows[("4c/1n", "native")]
 
 
 class TestFig8:
+    PROBLEMS = ("LAMMPS-lj", "LAMMPS-eam", "LAMMPS-chain", "LAMMPS-chute")
+
     @pytest.fixture(scope="class")
-    def result(self):
-        return ex.run_fig8_lammps()
+    def rows(self):
+        return ex.fig8(CovirtEnvironment())
 
-    def test_all_problems_swept(self, result):
-        assert set(result.column("problem")) == {"lj", "eam", "chain", "chute"}
-
-    def test_lj_eam_chain_similar_across_configs(self, result):
-        rows = list(zip(result.column("problem"), result.column("overhead")))
-        for problem in ("lj", "eam", "chain"):
-            overheads = [pct(o) for p, o in rows if p == problem]
-            assert max(overheads) < 2.0
-
-    def test_chute_most_sensitive(self, result):
-        rows = list(zip(result.column("problem"), result.column("overhead")))
-        worst = {
-            p: max(pct(o) for q, o in rows if q == p)
-            for p in ("lj", "eam", "chain", "chute")
+    @pytest.fixture(scope="class")
+    def worst(self, rows):
+        return {
+            problem: max(
+                overhead
+                for row, overhead in zip(rows, overhead_pcts(rows))
+                if row["workload"] == problem
+            )
+            for problem in self.PROBLEMS
         }
-        assert worst["chute"] > max(worst["lj"], worst["eam"], worst["chain"])
-        assert worst["chute"] < 8.0  # still "minimal overheads"
 
-    def test_native_and_none_best_for_chute(self, result):
-        rows = list(
-            zip(result.column("problem"), result.column("config"),
-                result.column("loop time (s)"))
+    def test_all_problems_swept(self, rows):
+        assert {row["workload"] for row in rows} == set(self.PROBLEMS)
+        assert len(rows) == 16  # 4 problems x 4 configs
+
+    def test_lj_eam_chain_similar_across_configs(self, worst):
+        for problem in ("LAMMPS-lj", "LAMMPS-eam", "LAMMPS-chain"):
+            assert worst[problem] < 2.0
+
+    def test_chute_most_sensitive(self, worst):
+        assert worst["LAMMPS-chute"] > max(
+            worst["LAMMPS-lj"], worst["LAMMPS-eam"], worst["LAMMPS-chain"]
         )
-        chute = {c: t for p, c, t in rows if p == "chute"}
+        assert worst["LAMMPS-chute"] < 8.0  # still "minimal overheads"
+
+    def test_native_and_none_best_for_chute(self, rows):
+        chute = {
+            row["config"]: row["fom"]
+            for row in rows
+            if row["workload"] == "LAMMPS-chute"
+        }
         assert chute["native"] <= chute["covirt-mem"]
         assert chute["covirt-none"] <= chute["covirt-mem"]
         assert chute["covirt-mem"] <= chute["covirt-mem+ipi"]
+
+
+class TestOverheads:
+    def test_each_row_against_its_own_native_row(self):
+        rows = [
+            dict(zip(("workload", "layout", "config", "elapsed_cycles"), row))
+            for row in [
+                ("A", "1c", "native", 100),
+                ("A", "1c", "covirt-mem", 103),
+                ("A", "4c", "native", 50),
+                ("A", "4c", "covirt-mem", 51),
+                ("B", "1c", "native", 200),
+                ("B", "1c", "covirt-none", 202),
+            ]
+        ]
+        assert ex.overheads(rows) == pytest.approx([0.0, 0.03, 0.0, 0.02, 0.0, 0.01])
+
+
+class TestFromRows:
+    def test_one_column_per_key_plus_overhead(self):
+        rows = ex.fig5b(CovirtEnvironment(), quick=True)
+        result = ex.ExperimentResult.from_rows("Fig. 5b", rows)
+        assert result.headers == [*rows[0], "overhead"]
+        assert result.column("config") == ["native", "covirt-mem+ipi"]
+        assert result.column("overhead")[0] == "+0.00%"
+        assert "Fig. 5b" in result.render()
+
+    def test_rows_without_cycles_get_no_overhead(self):
+        rows = [{"region_mb": 1, "mode": "covirt-off", "attach_us": 7.3}]
+        result = ex.ExperimentResult.from_rows("Fig. 4", rows)
+        assert result.headers == ["region_mb", "mode", "attach_us"]
+        assert result.rows == [[1, "covirt-off", 7.3]]

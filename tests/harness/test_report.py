@@ -37,6 +37,11 @@ class TestFormatRows:
         assert "42.0" in text
         assert "0.123" in text
 
+    def test_tiny_floats_keep_their_digits(self):
+        text = format_rows(["v"], [[1.32e-05], [0.0]])
+        assert "1.32e-05" in text
+        assert "0.000" in text
+
     def test_empty_rows(self):
         text = format_rows(["col"], [])
         assert "col" in text

@@ -104,6 +104,17 @@ class TestCommittedArtifacts:
             assert validate_bench(doc) == [], f"{path.name} invalid"
             assert doc["bench"] in path.name
 
+    @pytest.mark.parametrize(
+        "name", ["fig3", "fig4", "fig5", "fig6", "fig7", "fig8"]
+    )
+    def test_figure_artifacts_match_the_code(self, runner, name):
+        """The committed BENCH_fig*.json rows are what the figure's one
+        definition in repro.harness.experiments produces today."""
+        committed = json.loads((REPO_ROOT / f"BENCH_{name}.json").read_text())
+        assert committed["quick"] is False
+        doc = runner.run_scenario(name, quick=False)
+        assert doc["results"] == committed["results"]
+
 
 class TestBenchValidator:
     def _valid_doc(self, runner):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.faults import EnclaveFaultError
-from repro.core.features import CovirtConfig
+from repro.core.features import CovirtConfig, Feature
+from repro.hw.interrupts import ExceptionVector
 from repro.pisces.enclave import EnclaveState
 from repro.recovery.policy import (
     Quarantine,
@@ -22,6 +23,14 @@ def crash(enclave) -> None:
     bsp = enclave.assignment.core_ids[0]
     try:
         enclave.port.read(bsp, 50 * GiB, 8)
+    except EnclaveFaultError:
+        pass
+
+
+def double_fault(enclave) -> None:
+    bsp = enclave.assignment.core_ids[0]
+    try:
+        enclave.port.raise_exception(bsp, ExceptionVector.DOUBLE_FAULT)
     except EnclaveFaultError:
         pass
 
@@ -152,6 +161,31 @@ class TestMetrics:
         summary = env.recovery.metrics.by_fault_kind()["ept_violation"]
         assert summary.recovered == 1
         assert summary.mean_mttr_us > 0
+
+    @pytest.mark.parametrize(
+        "kind, config, inject",
+        [
+            ("ept_violation", CovirtConfig.full(), crash),
+            ("abort_exception", CovirtConfig.full(), double_fault),
+            ("triple_fault", CovirtConfig(features=Feature.MEMORY), double_fault),
+        ],
+        ids=["ept_violation", "abort_exception", "triple_fault"],
+    )
+    def test_every_fault_class_recovers_three_times(
+        self, env, small_layout, kind, config, inject
+    ):
+        svc = env.launch_supervised(
+            small_layout, config,
+            RestartWithBackoff(base_delay_cycles=100_000, jitter_fraction=0.0),
+            name=kind,
+        )
+        for _ in range(3):
+            inject(svc.enclave)
+            assert svc.phase is RecoveryPhase.RUNNING
+        kinds = env.recovery.metrics.by_fault_kind()
+        assert set(kinds) == {kind}
+        assert kinds[kind].recovered == kinds[kind].attempts == 3
+        assert kinds[kind].mean_mttr_cycles > 0
 
     def test_counters_fold_into_perf_counters(self, env, small_layout):
         svc = env.launch_supervised(

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.core.faults import EnclaveFaultError
+from repro.core.features import CovirtConfig
+from repro.harness.env import CovirtEnvironment, Layout
 from repro.hw.machine import Machine, MachineConfig
 from repro.hw.memory import MemoryRegion, PAGE_SIZE
 from repro.linuxhost.host import LINUX_OWNER, LinuxHost
@@ -132,6 +135,35 @@ class TestEnclaveLifecycle:
         assert enclave.state is EnclaveState.DESTROYED
         assert host.owner_summary()[LINUX_OWNER] == before
         assert len(host.online_cores) == machine.num_cores
+
+    def test_destroy_forgets_the_enclave(self, kmod):
+        enclave = kmod.create_enclave(spec())
+        kmod.boot_enclave(enclave.enclave_id)
+        kmod.destroy_enclave(enclave.enclave_id)
+        assert enclave.enclave_id not in kmod.enclaves
+        with pytest.raises(PiscesError):
+            kmod.ioctl(PiscesIoctl.ENCLAVE_STATUS, enclave.enclave_id)
+
+    def test_launch_teardown_cycles_keep_the_registry_flat(self):
+        env = CovirtEnvironment()
+        kmod = env.mcp.kmod
+        layout = Layout("1c/1n", {0: 1}, {0: 256 * MiB})
+        before = len(kmod.enclaves)
+        for i in range(10):
+            enclave = env.launch(layout, CovirtConfig.full(), name=f"cycle-{i}")
+            env.teardown(enclave)
+            assert len(kmod.enclaves) == before
+
+    def test_failed_enclave_stays_registered(self):
+        env = CovirtEnvironment()
+        enclave = env.launch(
+            Layout("1c/1n", {0: 1}, {0: 256 * MiB}), CovirtConfig.full()
+        )
+        with pytest.raises(EnclaveFaultError):
+            enclave.port.read(enclave.assignment.core_ids[0], 50 * GiB, 8)
+        env.teardown(enclave)
+        assert enclave.state is EnclaveState.FAILED
+        assert env.mcp.kmod.enclave(enclave.enclave_id) is enclave
 
     def test_two_enclaves_coexist(self, kmod):
         e1 = kmod.create_enclave(spec())

@@ -1,8 +1,27 @@
 """The command-line interface."""
 
+import contextlib
+import io
+import json
+
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+
+
+@pytest.fixture(scope="module")
+def run_all(tmp_path_factory):
+    """``repro run all --json DIR``, once: its stdout, and every
+    experiment's records keyed by experiment name."""
+    out_dir = tmp_path_factory.mktemp("run-all")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["run", "all", "--json", str(out_dir)]) == 0
+    records = {
+        path.stem: json.loads(path.read_text())["records"]
+        for path in out_dir.glob("*.json")
+    }
+    return stdout.getvalue(), records
 
 
 class TestCli:
@@ -31,11 +50,44 @@ class TestCli:
         assert "FAULT DOSSIER" in out
         assert "host survived: True" in out
 
-    def test_every_registered_experiment_runs(self, capsys):
-        # 'all' is the expensive path; exercise it once.
-        assert main(["run", "all"]) == 0
-        out = capsys.readouterr().out
+    def test_every_registered_experiment_runs(self, run_all):
+        out, records = run_all
         assert "Fig. 8" in out and "Ablation" in out
+        assert set(records) == set(EXPERIMENTS)
+
+
+class TestRunAllRecords:
+    """What each experiment beyond the figures must show, read from the
+    one ``run all`` pass."""
+
+    def test_sync_updates_service_more_commands_than_async(self, run_all):
+        async_row, sync_row = run_all[1]["ablation-async"]
+        assert sync_row["commands serviced"] > async_row["commands serviced"]
+
+    def test_coalesced_ept_has_fewer_4k_entries(self, run_all):
+        coalesced, flat = run_all[1]["ablation-coalescing"]
+        assert coalesced["4K entries"] < flat["4K entries"]
+
+    def test_both_ipi_modes_appear(self, run_all):
+        modes = {row["mode"] for row in run_all[1]["ablation-ipi-mode"]}
+        assert {"posted", "trap"} <= modes
+
+    def test_isolation_rows(self, run_all):
+        assert len(run_all[1]["isolation"]) == 6
+
+    def test_delegation_cost_falls_with_integration(self, run_all):
+        latencies = [
+            row["syscall latency (us)"]
+            for row in run_all[1]["integration-spectrum"]
+            if row["config"] == "native"
+        ]
+        # Hobbes channel > IHK proxy > mOS trampoline.
+        assert latencies[0] > latencies[1] > latencies[2]
+
+    def test_sensitivity_ordering_holds_in_every_cell(self, run_all):
+        cells = run_all[1]["sensitivity"]
+        assert len(cells) == 9
+        assert all(row["ordering holds"] == "yes" for row in cells)
 
 
 class TestTraceExportPostmortemDir:
