@@ -17,6 +17,7 @@ with.
 """
 
 from repro import CovirtConfig, CovirtEnvironment
+from repro.core.debug import containment_bundle, render_dossier
 from repro.core.faults import EnclaveFaultError
 from repro.ihk import IhkModule
 from repro.ihk.module import IhkIoctl
@@ -61,7 +62,10 @@ def main() -> None:
     except EnclaveFaultError as fault:
         print(f"contained: {fault}\n")
 
-    print(ihk.ioctl(203, mcos.enclave_id).render())  # the dossier
+    # The dossier (also served by ioctl 203) is frozen into the
+    # containment post-mortem, next to what each core did before the fault.
+    bundle = containment_bundle(env.machine.obs.flight, mcos.enclave_id)
+    print(render_dossier(bundle))
     print(f"\nhost alive: {env.host.alive}; machine pristine: "
           f"{env.host.is_pristine()}")
     print("The developer keeps working on real hardware — no node reboot,"

@@ -68,6 +68,7 @@ def run_experiments(names: list[str], json_dir: str | None = None) -> int:
 
 def run_fault_demo() -> int:
     """Crash a protected enclave and print its dossier."""
+    from repro.core.debug import containment_bundle, render_dossier
     from repro.core.faults import EnclaveFaultError
     from repro.core.features import CovirtConfig
     from repro.harness.env import CovirtEnvironment, Layout
@@ -86,7 +87,8 @@ def run_fault_demo() -> int:
         enclave.port.read(bsp, 50 * GiB, 8)
     except EnclaveFaultError:
         pass
-    print(env.controller.dossiers[enclave.enclave_id].render())
+    bundle = containment_bundle(env.machine.obs.flight, enclave.enclave_id)
+    print(render_dossier(bundle))
     print(f"\nhost survived: {env.host.alive}; "
           f"resources reclaimed: {env.host.owner_summary()}")
     return 0
@@ -193,12 +195,8 @@ def run_recovery_demo() -> int:
             failures += 1
         for rec in env.recovery.metrics.records:
             combined.record(rec)
-        combined.counters.checkpoints_taken += (
-            env.recovery.metrics.counters.checkpoints_taken
-        )
-        combined.counters.checkpoint_cycles += (
-            env.recovery.metrics.counters.checkpoint_cycles
-        )
+        combined.checkpoints_taken += env.recovery.metrics.checkpoints_taken
+        combined.checkpoint_cycles += env.recovery.metrics.checkpoint_cycles
     print()
     print(combined.render())
     print(

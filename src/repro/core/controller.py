@@ -27,13 +27,11 @@ interrupted when CPU-local state must be invalidated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.debug import FaultDossier
+from typing import Any
 
 from repro.core.boot import CovirtBootProtocol
 from repro.core.commands import CommandQueue, CommandType
+from repro.core.debug import collect_dossier
 from repro.core.ept_manager import EptManager
 from repro.core.execution import VirtualizedAccessPort
 from repro.core.faults import CovirtFault
@@ -134,8 +132,10 @@ class CovirtController:
         #: coherence; the log length feeds the determinism fingerprint.
         self.config_hooks: list = []
         self.config_log: list[tuple[int, str]] = []
-        #: Crash reports by enclave id (see :mod:`repro.core.debug`).
-        self.dossiers: dict[int, "FaultDossier"] = {}
+        #: Crash reports by enclave id, JSON-native dicts (see
+        #: :mod:`repro.core.debug`); each is also frozen into its
+        #: ``containment`` post-mortem as ``detail["dossier"]``.
+        self.dossiers: dict[int, dict[str, Any]] = {}
         #: Every co-kernel framework this controller protects.
         self._frameworks: list = []
         self._pending_config: CovirtConfig | None = None
@@ -453,8 +453,6 @@ class CovirtController:
         """A hypervisor terminated its guest: collect the debugging
         dossier, log, tell the MCP to reclaim + notify dependents, and
         finally hand the fault to any recovery subscribers."""
-        from repro.core.debug import FaultDossier
-
         with self.machine.obs.tracer.span(
             "controller.fault",
             category="controller",
@@ -464,21 +462,24 @@ class CovirtController:
         ):
             self.fault_log.append(fault)
             ctx = self.contexts.get(fault.enclave_id)
+            dossier = None
             if ctx is not None:
                 # Park the sibling hypervisors too (the whole enclave dies).
                 for hv in ctx.hypervisors.values():
                     hv.terminated = True
                 # The state a developer gets instead of a dead node.
-                self.dossiers[fault.enclave_id] = FaultDossier.collect(ctx, fault)
+                dossier = collect_dossier(ctx, fault)
+                self.dossiers[fault.enclave_id] = dossier
             # Containment post-mortem: ring tail + metrics + state
-            # summary, frozen while the dead enclave's context and
-            # dossier are still in hand.
+            # summary + the dossier, frozen while the dead enclave's
+            # context is still in hand.
             self.machine.obs.flight.postmortem(
                 "containment",
                 fault.detail,
                 kind=fault.kind.value,
                 enclave=fault.enclave_id,
                 core=fault.core_id,
+                dossier=dossier,
             )
             self._route_termination(fault)
             # Only after routing: by now the enclave's resources are back in
@@ -531,7 +532,7 @@ class CovirtController:
             raise KeyError(f"enclave {enclave_id} is not protected")
         return ctx.aggregate_counters()
 
-    def _ioctl_dossier(self, enclave_id: int) -> "FaultDossier":
+    def _ioctl_dossier(self, enclave_id: int) -> dict[str, Any]:
         """Fetch the crash report for a terminated enclave."""
         dossier = self.dossiers.get(enclave_id)
         if dossier is None:

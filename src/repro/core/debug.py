@@ -6,148 +6,162 @@ enclave is terminated cleanly and the interesting state survives.  The
 paper credits this with cutting "complex debugging efforts from weeks
 to days".
 
-A :class:`FaultDossier` is that surviving state, collected by the
-controller at termination time: the fault itself, every core's
-hypervisor counters and final register/TSC state, the EPT's shape, the
-whitelist's drop log, the tail of the co-kernel console, and the last
-commands each core serviced.
+A dossier is that surviving state, collected by the controller at
+termination time as one JSON-native dict: the fault itself, every
+core's hypervisor counters and final register/TSC state, the EPT's
+shape, the whitelist's drop log, the denied MSR writes and port
+accesses, and the tail of the co-kernel console.  The controller keeps
+it (``controller.dossiers``, ioctl 203) and freezes it into the
+``containment`` post-mortem bundle as ``detail["dossier"]``, next to the
+flight recorder's event tail, which holds what each core did before
+the fault.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.core.faults import CovirtFault
+from repro.core.faults import CovirtFault, FaultKind
 from repro.hw.memory import PAGE_SIZE, PAGE_SIZE_1G, PAGE_SIZE_2M
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.controller import EnclaveVirtContext
+    from repro.obs.flight import FlightRecorder
+
+#: Span events per core that a rendered report shows as its lead-up.
+TRACE_TAIL = 8
 
 
-@dataclass
-class CoreSnapshot:
-    """Final architectural state of one enclave core."""
-
-    core_id: int
-    tsc: int
-    mode: str
-    halted: bool
-    vm_entries: int
-    total_exits: int
-    exits_by_reason: dict[str, int]
-    tlb_entries: int
-    pending_commands: int
-    trace_tail: list[str] = field(default_factory=list)
-
-
-@dataclass
-class FaultDossier:
-    """Everything a developer gets instead of a dead node."""
-
-    fault: CovirtFault
-    enclave_name: str
-    cores: list[CoreSnapshot] = field(default_factory=list)
-    ept_mapped_bytes: int = 0
-    ept_entries: dict[int, int] = field(default_factory=dict)
-    dropped_ipis: list[str] = field(default_factory=list)
-    denied_msr_writes: list[tuple[int, int, int]] = field(default_factory=list)
-    denied_io: list[tuple[int, int, int, bool]] = field(default_factory=list)
-    console_tail: list[str] = field(default_factory=list)
-    features: str = ""
-
-    @classmethod
-    def collect(cls, ctx: "EnclaveVirtContext", fault: CovirtFault) -> "FaultDossier":
-        """Snapshot an enclave's state at termination."""
-        dossier = cls(
-            fault=fault,
-            enclave_name=ctx.enclave.name,
-            features=ctx.config.label(),
-        )
-        for core_id, hv in sorted(ctx.hypervisors.items()):
-            core = hv.core
-            dossier.cores.append(
-                CoreSnapshot(
-                    core_id=core_id,
-                    tsc=core.read_tsc(),
-                    mode=core.mode.value,
-                    halted=core.halted,
-                    vm_entries=core.vm_entries,
-                    total_exits=hv.counters.total_exits,
-                    exits_by_reason=dict(hv.counters.exits),
-                    tlb_entries=len(core.tlb) if core.tlb else 0,
-                    pending_commands=hv.queue.pending(),
-                    trace_tail=[r.render() for r in hv.trace.tail(8)],
-                )
-            )
-        if ctx.ept is not None:
-            dossier.ept_mapped_bytes = ctx.ept.mapped_bytes
-            dossier.ept_entries = ctx.ept.entry_counts()
-        if ctx.whitelist is not None:
-            dossier.dropped_ipis = [
+def collect_dossier(
+    ctx: "EnclaveVirtContext", fault: CovirtFault
+) -> dict[str, Any]:
+    """Snapshot an enclave's state at termination."""
+    kernel = ctx.enclave.kernel
+    return {
+        "fault": {
+            "kind": fault.kind.value,
+            "enclave_id": fault.enclave_id,
+            "core_id": fault.core_id,
+            "tsc": fault.tsc,
+            "detail": fault.detail,
+        },
+        "enclave_name": ctx.enclave.name,
+        "features": ctx.config.label(),
+        "cores": [
+            {
+                "core_id": core_id,
+                "tsc": hv.core.read_tsc(),
+                "mode": hv.core.mode.value,
+                "halted": hv.core.halted,
+                "vm_entries": hv.core.vm_entries,
+                "total_exits": hv.counters.total_exits,
+                "exits_by_reason": dict(hv.counters.exits),
+                "tlb_entries": len(hv.core.tlb) if hv.core.tlb else 0,
+                "pending_commands": hv.queue.pending(),
+            }
+            for core_id, hv in sorted(ctx.hypervisors.items())
+        ],
+        "ept_mapped_bytes": ctx.ept.mapped_bytes if ctx.ept is not None else 0,
+        "ept_entries": (
+            {str(size): n for size, n in ctx.ept.entry_counts().items()}
+            if ctx.ept is not None
+            else {}
+        ),
+        "dropped_ipis": (
+            [
                 f"core {d.msg.dest_core} vector {d.msg.vector} @ {d.tsc}: {d.reason}"
                 for d in ctx.whitelist.dropped
             ]
-        dossier.denied_msr_writes = list(ctx.denied_msr_writes)
-        dossier.denied_io = list(ctx.denied_io)
-        kernel = ctx.enclave.kernel
-        if kernel is not None:
-            dossier.console_tail = kernel.console[-10:]
-        return dossier
+            if ctx.whitelist is not None
+            else []
+        ),
+        "denied_msr_writes": [list(entry) for entry in ctx.denied_msr_writes],
+        "denied_io": [list(entry) for entry in ctx.denied_io],
+        "console_tail": kernel.console[-10:] if kernel is not None else [],
+    }
 
-    def render(self) -> str:
-        """Human-readable crash report."""
-        lines = [
-            "=" * 70,
-            f"COVIRT FAULT DOSSIER — enclave {self.fault.enclave_id} "
-            f"({self.enclave_name!r}, {self.features})",
-            "=" * 70,
-            f"fault:  {self.fault.describe()}",
-            "",
-            "cores:",
-        ]
-        for core in self.cores:
-            exits = ", ".join(
-                f"{k}={v}" for k, v in sorted(core.exits_by_reason.items())
-            ) or "none"
-            lines.append(
-                f"  core {core.core_id}: tsc={core.tsc} mode={core.mode}"
-                f"{' HALTED' if core.halted else ''} entries={core.vm_entries}"
-                f" exits[{exits}] tlb={core.tlb_entries}"
-                f" pending_cmds={core.pending_commands}"
+
+def containment_bundle(
+    flight: "FlightRecorder", enclave_id: int
+) -> dict[str, Any]:
+    """The newest retained ``containment`` post-mortem of an enclave."""
+    for bundle in reversed(flight.postmortems):
+        if (
+            bundle["trigger"] == "containment"
+            and bundle["detail"].get("enclave") == enclave_id
+        ):
+            return bundle
+    raise KeyError(f"no containment post-mortem for enclave {enclave_id}")
+
+
+def render_dossier(bundle: dict[str, Any]) -> str:
+    """Human-readable crash report from a ``containment`` bundle: its
+    dossier, then each core's last span events on its ``core<N>`` track."""
+    dossier = bundle["detail"]["dossier"]
+    record = dossier["fault"]
+    fault = CovirtFault(**dict(record, kind=FaultKind(record["kind"])))
+    lines = [
+        "=" * 70,
+        f"COVIRT FAULT DOSSIER — enclave {fault.enclave_id} "
+        f"({dossier['enclave_name']!r}, {dossier['features']})",
+        "=" * 70,
+        f"fault:  {fault.describe()}",
+        "",
+        "cores:",
+    ]
+    for core in dossier["cores"]:
+        exits = ", ".join(
+            f"{k}={v}" for k, v in sorted(core["exits_by_reason"].items())
+        ) or "none"
+        lines.append(
+            f"  core {core['core_id']}: tsc={core['tsc']} mode={core['mode']}"
+            f"{' HALTED' if core['halted'] else ''} entries={core['vm_entries']}"
+            f" exits[{exits}] tlb={core['tlb_entries']}"
+            f" pending_cmds={core['pending_commands']}"
+        )
+    ept_entries = dossier["ept_entries"]
+    if ept_entries:
+        lines.append(
+            f"ept:    {dossier['ept_mapped_bytes'] >> 20} MiB mapped "
+            f"({ept_entries.get(str(PAGE_SIZE_1G), 0)}x1G, "
+            f"{ept_entries.get(str(PAGE_SIZE_2M), 0)}x2M, "
+            f"{ept_entries.get(str(PAGE_SIZE), 0)}x4K)"
+        )
+    if dossier["dropped_ipis"]:
+        lines.append(f"dropped IPIs ({len(dossier['dropped_ipis'])}):")
+        lines += [f"  {entry}" for entry in dossier["dropped_ipis"][-5:]]
+    if dossier["denied_msr_writes"]:
+        lines.append(
+            "denied MSR writes: "
+            + ", ".join(
+                f"core{c}:{idx:#x}={val:#x}"
+                for c, idx, val in dossier["denied_msr_writes"][-5:]
             )
-        if self.ept_entries:
-            lines.append(
-                f"ept:    {self.ept_mapped_bytes >> 20} MiB mapped "
-                f"({self.ept_entries.get(PAGE_SIZE_1G, 0)}x1G, "
-                f"{self.ept_entries.get(PAGE_SIZE_2M, 0)}x2M, "
-                f"{self.ept_entries.get(PAGE_SIZE, 0)}x4K)"
+        )
+    if dossier["denied_io"]:
+        lines.append(
+            "denied I/O: "
+            + ", ".join(
+                f"core{c}:{'out' if w else 'in'} port {p:#x}"
+                for c, p, _v, w in dossier["denied_io"][-5:]
             )
-        if self.dropped_ipis:
-            lines.append(f"dropped IPIs ({len(self.dropped_ipis)}):")
-            lines += [f"  {entry}" for entry in self.dropped_ipis[-5:]]
-        if self.denied_msr_writes:
-            lines.append(
-                "denied MSR writes: "
-                + ", ".join(
-                    f"core{c}:{idx:#x}={val:#x}"
-                    for c, idx, val in self.denied_msr_writes[-5:]
-                )
-            )
-        if self.denied_io:
-            lines.append(
-                "denied I/O: "
-                + ", ".join(
-                    f"core{c}:{'out' if w else 'in'} port {p:#x}"
-                    for c, p, _v, w in self.denied_io[-5:]
-                )
-            )
-        if self.console_tail:
-            lines.append("co-kernel console (tail):")
-            lines += [f"  | {entry}" for entry in self.console_tail]
-        for core in self.cores:
-            if core.trace_tail:
-                lines.append(f"hypervisor trace, core {core.core_id} (tail):")
-                lines += [f"  {entry}" for entry in core.trace_tail]
-        lines.append("=" * 70)
-        return "\n".join(lines)
+        )
+    if dossier["console_tail"]:
+        lines.append("co-kernel console (tail):")
+        lines += [f"  | {entry}" for entry in dossier["console_tail"]]
+    for core in dossier["cores"]:
+        track = f"core{core['core_id']}"
+        spans = [
+            event
+            for event in bundle["events"]
+            if event["type"] == "span" and event["track"] == track
+        ][-TRACE_TAIL:]
+        if spans:
+            lines.append(f"hypervisor trace, core {core['core_id']} (tail):")
+            lines += [
+                f"  {span['end']:>14d}  {span['name']}"
+                + "".join(f" {k}={v}" for k, v in span["args"].items())
+                for span in spans
+            ]
+    lines.append("=" * 70)
+    return "\n".join(lines)

@@ -147,13 +147,6 @@ def handle_apic_write(hv: "CovirtHypervisor", exit: VmExit) -> bool:
     if not allowed:
         whitelist.record_drop(msg, reason, hv.core.read_tsc())
         hv.counters.ipis_filtered += 1
-        from repro.perf.trace import TraceKind
-
-        hv.trace.record(
-            hv.core.read_tsc(),
-            TraceKind.DROP,
-            f"IPI → core {msg.dest_core} vector {msg.vector}: {reason}",
-        )
         return False
     apic = hv.core.apic
     assert apic is not None

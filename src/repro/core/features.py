@@ -10,7 +10,7 @@ independent.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Feature(enum.Flag):
@@ -54,15 +54,6 @@ class CovirtConfig:
     hw_has_posted_interrupts: bool = True
     #: 2 MiB / 1 GiB EPT coalescing (on in the paper; off = ablation).
     ept_coalescing: bool = True
-    #: Capacity of each hypervisor's bounded event ring.  The default
-    #: matches the fault-dossier use case; recovery replays want a
-    #: deeper tail (every restart adds launch/command/recover records),
-    #: so supervised enclaves typically raise this.
-    trace_capacity: int = 256
-
-    def __post_init__(self) -> None:
-        if self.trace_capacity <= 0:
-            raise ValueError("trace_capacity must be positive")
 
     def has(self, feature: Feature) -> bool:
         return bool(self.features & feature)

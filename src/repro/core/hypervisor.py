@@ -21,7 +21,6 @@ from repro.hw.machine import Machine
 from repro.obs import metric_names
 from repro.perf.costs import CostModel, DEFAULT_COSTS
 from repro.perf.counters import PerfCounters
-from repro.perf.trace import EventTrace, TraceKind
 from repro.vmx.exits import ExitReason, VmExit
 from repro.vmx.vapic import VapicMode
 from repro.vmx.vmcs import Vmcs
@@ -54,10 +53,6 @@ class CovirtHypervisor:
         self.stack_addr = stack_addr
         self.costs = costs
         self.counters = PerfCounters()
-        #: Bounded event ring: the ordered tail of what this hypervisor
-        #: saw, surfaced in fault dossiers.  Depth comes from the
-        #: enclave's CovirtConfig (recovery wants a deeper tail).
-        self.trace = EventTrace(capacity=ctx.config.trace_capacity)
         #: Generation of the VMCS state this core has activated.
         self.loaded_generation: int = -1
         #: Set by the controller: where terminations are reported.
@@ -92,11 +87,6 @@ class CovirtHypervisor:
             self.vmcs.launched = True
             self.core.mode = CpuMode.GUEST
             self.core.vm_entries += 1
-            self.trace.record(
-                self.core.read_tsc(),
-                TraceKind.LAUNCH,
-                f"VMLAUNCH → {self.vmcs.guest.entry_point:#x}",
-            )
 
     # -- exit accounting ---------------------------------------------------
 
@@ -105,7 +95,6 @@ class CovirtHypervisor:
         cost = self.costs.exit_cost(emulation=emulation)
         self.core.advance(cost)
         self.counters.record_exit(reason.value, cost)
-        self.trace.record(self.core.read_tsc(), TraceKind.EXIT, reason.value)
         tsc = self.core.read_tsc()
         self.obs.tracer.complete(
             f"hv.exit.{reason.value}",
@@ -169,11 +158,6 @@ class CovirtHypervisor:
             self.vmcs.pi_descriptor.post(interrupt.vector)
             self.core.advance(self.costs.posted_delivery)
             self.counters.posted_deliveries += 1
-            self.trace.record(
-                self.core.read_tsc(),
-                TraceKind.POSTED,
-                f"vector {interrupt.vector} (no exit)",
-            )
             for vector in self.vmcs.pi_descriptor.drain():
                 if kernel is not None:
                     kernel.inject_interrupt(
@@ -210,9 +194,6 @@ class CovirtHypervisor:
                 self._execute_command(cmd)
                 self.queue.mark_completed(cmd)
                 self.counters.commands_serviced += 1
-                self.trace.record(
-                    self.core.read_tsc(), TraceKind.COMMAND, cmd.type.name
-                )
                 commands.inc(type=cmd.type.name, **self._metric_labels())
                 serviced += 1
             drain.args["serviced"] = serviced
@@ -275,9 +256,6 @@ class CovirtHypervisor:
             self.obs.metrics.counter(
                 metric_names.TERMINATIONS, "guest terminations by fault kind"
             ).inc(kind=fault.kind.value, **self._metric_labels())
-            self.trace.record(
-                self.core.read_tsc(), TraceKind.TERMINATE, fault.detail
-            )
             self.core.mode = CpuMode.HYPERVISOR
             self.core.halt()
             if self.fault_sink is not None:

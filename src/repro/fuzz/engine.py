@@ -43,7 +43,6 @@ from repro.hw.ioports import (
 from repro.hw.memory import OwnershipError, PAGE_SIZE
 from repro.hw.msr import MSR, MsrAccessError
 from repro.perf.counters import PerfCounters
-from repro.perf.trace import TraceKind
 from repro.pisces.enclave import EnclaveDead, EnclaveState
 from repro.pisces.kmod import PiscesError
 from repro.recovery.policy import Quarantine, RestartAlways, RestartWithBackoff
@@ -473,8 +472,8 @@ class FuzzEngine:
         try:
             self.oracles.check_all()
         except OracleViolation as violation:
-            self.env.recovery.trace.record(
-                self.env.machine.clock.now, TraceKind.ORACLE, str(violation)
+            self.env.recovery.trace.append(
+                (self.env.machine.clock.now, "oracle", str(violation))
             )
             self.cov.observe_oracle(violation.oracle)
             if self.failure is None:
@@ -723,11 +722,13 @@ class FuzzEngine:
         if victim is None or victim is service:
             return
         self._armed = None  # one-shot, and never recurse
-        self.env.recovery.trace.record(
-            self.env.machine.clock.now,
-            TraceKind.INJECT,
-            f"mid-recovery fault into {victim.name!r} "
-            f"while {service.name!r} is {phase.value}",
+        self.env.recovery.trace.append(
+            (
+                self.env.machine.clock.now,
+                "inject",
+                f"mid-recovery fault into {victim.name!r} "
+                f"while {service.name!r} is {phase.value}",
+            )
         )
         try:
             victim.enclave.port.read(
@@ -789,8 +790,8 @@ class FuzzEngine:
             key = f.key()
             lines.append(f"fault {f.enclave_id} {key.kind}/{key.detail_class}")
         lines += [
-            f"rtrace {r.tsc} {r.kind.value} {r.detail}"
-            for r in env.recovery.trace.tail(env.recovery.trace.capacity)
+            f"rtrace {tsc} {kind} {detail}"
+            for tsc, kind, detail in env.recovery.trace
         ]
         lines += [
             f"pending {when} {seq} {tag}"

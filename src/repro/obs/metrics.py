@@ -25,8 +25,6 @@ EXITS = "covirt.exits"
 EXIT_CYCLES = "covirt.exit_cycles"
 #: Commands drained from per-core queues, by ``type``.
 COMMANDS = "covirt.commands"
-#: Trapped ICR writes, by ``verdict`` (forwarded | filtered).
-IPIS = "covirt.ipis"
 #: Guest terminations, by fault ``kind``.
 TERMINATIONS = "covirt.terminations"
 #: Controller configuration rewrites, by ``kind`` (ept-map, ...).

@@ -10,10 +10,12 @@ from dataclasses import dataclass, field, fields
 class PerfCounters:
     """Event counts + cycle attribution for one core's hypervisor.
 
-    The recovery subsystem (:mod:`repro.recovery`) shares the same
-    structure for its supervisor-level accounting, so checkpoint and
-    restart costs surface through the exact channel every other cycle
-    cost does.
+    The hypervisor never writes six of these fields: ``cycles_in_guest``
+    and the five recovery ones (the supervisor keeps its own totals in
+    :class:`~repro.recovery.metrics.RecoveryMetrics`).  They stay because
+    :func:`repro.fuzz.engine.flatten_counters` renders every field into
+    each fuzz fingerprint and committed corpus entry, so dropping one
+    changes them all.
     """
 
     exits: Counter = field(default_factory=Counter)
@@ -25,7 +27,7 @@ class PerfCounters:
     ipis_forwarded: int = 0
     interrupts_injected: int = 0
     posted_deliveries: int = 0
-    # -- recovery subsystem ---------------------------------------------
+    # -- recovery: never written, see the docstring --------------------
     checkpoints_taken: int = 0
     checkpoint_cycles: int = 0
     recoveries: int = 0

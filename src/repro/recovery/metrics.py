@@ -4,9 +4,8 @@ Every recovery attempt produces one :class:`RecoveryRecord` spanning
 fault detection (the TSC at which the supervisor saw the failure) to
 the service being back in RUNNING.  The aggregator groups records by
 fault kind so the recovery demo can print a per-fault-class MTTR table,
-and folds totals into :class:`~repro.perf.counters.PerfCounters` so
-recovery cost appears next to every other cost the reproduction
-tracks.
+and keeps running totals of checkpoints, recoveries and replayed
+commands.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass, field
 
 from repro.core.faults import FaultKey
 from repro.hw.clock import cycles_to_us
-from repro.perf.counters import PerfCounters
 
 
 @dataclass
@@ -70,18 +68,22 @@ class RecoveryMetrics:
 
     def __init__(self) -> None:
         self.records: list[RecoveryRecord] = []
-        self.counters = PerfCounters()
+        self.checkpoints_taken = 0
+        self.checkpoint_cycles = 0
+        self.recoveries = 0
+        self.recovery_cycles = 0
+        self.commands_replayed = 0
 
     def record(self, rec: RecoveryRecord) -> None:
         self.records.append(rec)
         if rec.recovered:
-            self.counters.recoveries += 1
-            self.counters.recovery_cycles += rec.mttr_cycles
-        self.counters.commands_replayed += rec.commands_replayed
+            self.recoveries += 1
+            self.recovery_cycles += rec.mttr_cycles
+        self.commands_replayed += rec.commands_replayed
 
     def record_checkpoint(self, cost_cycles: int) -> None:
-        self.counters.checkpoints_taken += 1
-        self.counters.checkpoint_cycles += cost_cycles
+        self.checkpoints_taken += 1
+        self.checkpoint_cycles += cost_cycles
 
     # -- aggregation -----------------------------------------------------
 
@@ -119,10 +121,9 @@ class RecoveryMetrics:
                 f"  {kind:<24s} {s.attempts:>3d} {s.recovered:>9d} "
                 f"{s.mean_mttr_cycles:>16,.0f} {s.mean_mttr_us:>15,.1f}"
             )
-        c = self.counters
         lines.append(
-            f"  checkpoints: {c.checkpoints_taken} "
-            f"({c.checkpoint_cycles:,} cycles); "
-            f"commands replayed: {c.commands_replayed}"
+            f"  checkpoints: {self.checkpoints_taken} "
+            f"({self.checkpoint_cycles:,} cycles); "
+            f"commands replayed: {self.commands_replayed}"
         )
         return "\n".join(lines)

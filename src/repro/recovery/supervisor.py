@@ -30,13 +30,13 @@ operators) can assert rejection.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.faults import CovirtFault, FaultKey, key_from_record
 from repro.core.features import CovirtConfig
 from repro.obs import metric_names
-from repro.perf.trace import EventTrace, TraceKind
 from repro.pisces.enclave import Enclave, EnclaveState, FaultRecord
 from repro.pisces.resources import ResourceSpec
 from repro.recovery.checkpoint import CheckpointManager, EnclaveCheckpoint
@@ -56,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.machine import Machine
     from repro.linuxhost.host import LinuxHost
 
-#: Event-trace depth for the supervisor's own recovery timeline.
+#: Depth of the supervisor's recovery transcript; the oldest entries go first.
 SUPERVISOR_TRACE_DEPTH = 512
 
 
@@ -135,7 +135,13 @@ class RecoverySupervisor:
         )
         self.replayer = ReplayEngine(mcp, controller, self.costs.replay_per_command)
         self.metrics = RecoveryMetrics()
-        self.trace = EventTrace(capacity=SUPERVISOR_TRACE_DEPTH)
+        #: The recovery transcript: ``(tsc, kind, detail)`` tuples, oldest
+        #: first.  The supervisor appends ``checkpoint`` and ``recover``
+        #: entries, the fuzz engine ``inject`` and ``oracle`` ones, and
+        #: every entry is an ``rtrace`` line of the fuzz fingerprint.
+        self.trace: deque[tuple[int, str, str]] = deque(
+            maxlen=SUPERVISOR_TRACE_DEPTH
+        )
         self.services: dict[str, SupervisedService] = {}
         #: Observers fired on every phase transition, after the phase is
         #: assigned.  The fuzz engine uses this seam to inject faults
@@ -212,7 +218,7 @@ class RecoverySupervisor:
         cp = self.checkpoints.checkpoint(enclave)
         self._note_checkpoint(cp, service_name)
         self._trace(
-            TraceKind.CHECKPOINT,
+            "checkpoint",
             f"baseline gen {cp.generation} for {service_name!r}",
         )
         return service
@@ -242,7 +248,7 @@ class RecoverySupervisor:
         cp = self.checkpoints.checkpoint(service.enclave)
         self._note_checkpoint(cp, name)
         self._trace(
-            TraceKind.CHECKPOINT,
+            "checkpoint",
             f"gen {cp.generation} for {name!r} "
             f"(dirty: {','.join(cp.dirty_sections) or 'none'})",
         )
@@ -282,7 +288,7 @@ class RecoverySupervisor:
         service.history.append(key)
         service.pending_key = key
         self._trace(
-            TraceKind.RECOVER,
+            "recover",
             f"{service.name!r} down: {key.describe()} "
             f"(incarnation {service.incarnation})",
         )
@@ -293,7 +299,7 @@ class RecoverySupervisor:
         except Exception as exc:  # recovery must never poison the fault path
             self._set_phase(service, RecoveryPhase.GIVEN_UP)
             self._trace(
-                TraceKind.RECOVER,
+                "recover",
                 f"{service.name!r} recovery aborted: {exc}",
             )
             self.metrics.record(
@@ -368,7 +374,7 @@ class RecoverySupervisor:
                 num_zones=self.machine.topology.num_zones,
             )
         )
-        self._trace(TraceKind.RECOVER, f"{service.name!r}: {decision.reason}")
+        self._trace("recover", f"{service.name!r}: {decision.reason}")
 
         def park(phase: RecoveryPhase, outcome: str, **extra) -> None:
             self._set_phase(service, phase)
@@ -414,7 +420,7 @@ class RecoverySupervisor:
         if not scrub_report.clean:
             self._set_phase(service, RecoveryPhase.SCRUB_FAILED)
             self._trace(
-                TraceKind.RECOVER,
+                "recover",
                 f"{service.name!r} scrub rejected relaunch: "
                 + "; ".join(scrub_report.violations),
             )
@@ -492,7 +498,7 @@ class RecoverySupervisor:
             )
         )
         self._trace(
-            TraceKind.RECOVER,
+            "recover",
             f"{service.name!r} recovered as enclave {new_enclave.enclave_id} "
             f"(incarnation {service.incarnation}, "
             f"MTTR {completion_tsc - detection_tsc} cycles)",
@@ -503,8 +509,8 @@ class RecoverySupervisor:
 
     # -- helpers ---------------------------------------------------------
 
-    def _trace(self, kind: TraceKind, detail: str) -> None:
-        self.trace.record(self.machine.clock.now, kind, detail)
+    def _trace(self, kind: str, detail: str) -> None:
+        self.trace.append((self.machine.clock.now, kind, detail))
 
     def _note_checkpoint(self, cp: EnclaveCheckpoint, name: str) -> None:
         """Fold one checkpoint into both metric systems: the recovery

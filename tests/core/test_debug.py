@@ -1,9 +1,11 @@
 """Fault dossiers: the debugging story from Section V."""
 
+import json
+
 import pytest
 
 from repro.core.controller import CovirtIoctl
-from repro.core.debug import FaultDossier
+from repro.core.debug import containment_bundle, render_dossier
 from repro.core.faults import EnclaveFaultError, FaultKind
 from repro.core.features import CovirtConfig
 from repro.harness.env import CovirtEnvironment, Layout
@@ -18,9 +20,8 @@ def env():
     return CovirtEnvironment()
 
 
-@pytest.fixture
-def crashed(env):
-    """An enclave with a rich history, then a fault."""
+def crash(env):
+    """Launch an enclave, give it a rich history, then fault it."""
     enclave = env.launch(LAYOUT, CovirtConfig.full())
     bsp = enclave.assignment.core_ids[0]
     # Generate interesting state first.
@@ -30,20 +31,25 @@ def crashed(env):
     enclave.kernel.console.append("about to touch the shared buffer")
     with pytest.raises(EnclaveFaultError):
         enclave.port.read(bsp, 50 * GiB, 8)
-    return env, enclave
+    return enclave
+
+
+@pytest.fixture
+def crashed(env):
+    return env, crash(env)
 
 
 class TestDossierCollection:
     def test_dossier_created_on_fault(self, crashed):
         env, enclave = crashed
         dossier = env.controller.dossiers[enclave.enclave_id]
-        assert dossier.fault.kind is FaultKind.EPT_VIOLATION
-        assert dossier.enclave_name == enclave.name
+        assert dossier["fault"]["kind"] == FaultKind.EPT_VIOLATION.value
+        assert dossier["enclave_name"] == enclave.name
 
     def test_dossier_available_via_ioctl(self, crashed):
         env, enclave = crashed
         dossier = env.mcp.kmod.ioctl(CovirtIoctl.DOSSIER, enclave.enclave_id)
-        assert isinstance(dossier, FaultDossier)
+        assert dossier == env.controller.dossiers[enclave.enclave_id]
 
     def test_no_dossier_for_healthy_enclave(self, env):
         enclave = env.launch(LAYOUT, CovirtConfig.full())
@@ -55,28 +61,30 @@ class TestDossierCollection:
         dossier = env.controller.dossiers[enclave.enclave_id]
         # (assignment.core_ids is already empty post-reclamation; the
         # dossier snapshotted before that.)
-        assert len(dossier.cores) == enclave.spec.total_cores
-        bsp_snap = dossier.cores[0]
-        assert bsp_snap.halted
-        assert bsp_snap.mode == "hypervisor"
-        assert bsp_snap.exits_by_reason["ept_violation"] == 1
-        assert bsp_snap.exits_by_reason["cpuid"] == 1
+        assert len(dossier["cores"]) == enclave.spec.total_cores
+        bsp_snap = dossier["cores"][0]
+        assert bsp_snap["halted"]
+        assert bsp_snap["mode"] == "hypervisor"
+        assert bsp_snap["exits_by_reason"]["ept_violation"] == 1
+        assert bsp_snap["exits_by_reason"]["cpuid"] == 1
 
     def test_protection_history_preserved(self, crashed):
         env, enclave = crashed
         dossier = env.controller.dossiers[enclave.enclave_id]
-        assert any("vector 200" in d for d in dossier.dropped_ipis)
-        assert dossier.denied_msr_writes[0][1] == MSR.IA32_APIC_BASE
-        assert dossier.ept_mapped_bytes == 2 * GiB
+        assert any("vector 200" in d for d in dossier["dropped_ipis"])
+        assert dossier["denied_msr_writes"][0][1] == MSR.IA32_APIC_BASE
+        assert dossier["ept_mapped_bytes"] == 2 * GiB
 
     def test_console_tail_captured(self, crashed):
         env, enclave = crashed
         dossier = env.controller.dossiers[enclave.enclave_id]
-        assert dossier.console_tail[-1] == "about to touch the shared buffer"
+        assert dossier["console_tail"][-1] == "about to touch the shared buffer"
 
     def test_render_contains_the_story(self, crashed):
         env, enclave = crashed
-        report = env.controller.dossiers[enclave.enclave_id].render()
+        report = render_dossier(
+            containment_bundle(env.machine.obs.flight, enclave.enclave_id)
+        )
         assert "FAULT DOSSIER" in report
         assert "ept_violation" in report
         assert "0xc80000000" in report  # the faulting gpa (50 GiB)
@@ -99,3 +107,26 @@ class TestDossierCollection:
             ids.append(enclave.enclave_id)
         assert set(ids) <= set(env.controller.dossiers)
         assert len(set(ids)) == 2
+
+
+class TestDossierInPostmortem:
+    def test_containment_dump_carries_the_dossier(self, env, tmp_path):
+        env.machine.obs.flight.dump_dir = tmp_path
+        enclave = crash(env)
+        eid = enclave.enclave_id
+        [path] = tmp_path.glob("postmortem_*_containment.json")
+        dumped = json.loads(path.read_text())["detail"]["dossier"]
+        kept = env.controller.dossiers[eid]
+        assert dumped == json.loads(json.dumps(kept))
+        # The retained bundle holds a copy, not the controller's dict.
+        assert containment_bundle(env.machine.obs.flight, eid)["detail"][
+            "dossier"
+        ] is not kept
+        faulting = dumped["cores"][0]
+        assert faulting["core_id"] == dumped["fault"]["core_id"]
+        assert faulting["exits_by_reason"]["ept_violation"] == 1
+        assert [row[1] for row in dumped["denied_msr_writes"]] == [
+            MSR.IA32_APIC_BASE
+        ]
+        assert len(dumped["dropped_ipis"]) == 1
+        assert "vector 200" in dumped["dropped_ipis"][0]

@@ -1,7 +1,7 @@
 """Oracle-determinism: the engine's RNG is the only entropy, so two
 runs of the same ``(seed, schedule, steps)`` must agree on *everything*
-observable — step outcomes, event traces, performance counters, final
-clock, and the behavioural fingerprint."""
+observable — step outcomes, recovery transcripts, performance counters,
+final clock, and the behavioural fingerprint."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 
 from repro.fuzz import FuzzEngine, OracleViolation, SCHEDULES, replay_run
 from repro.fuzz.engine import flatten_counters
-from repro.perf.trace import TraceKind
 
 pytestmark = pytest.mark.slow
 
@@ -17,8 +16,9 @@ STEPS = 50
 
 
 def trace_lines(engine: FuzzEngine) -> list[str]:
-    trace = engine.env.recovery.trace
-    return [f"{r.tsc} {r.kind.value} {r.detail}" for r in trace.tail(trace.capacity)]
+    return [
+        f"{tsc} {kind} {detail}" for tsc, kind, detail in engine.env.recovery.trace
+    ]
 
 
 class TestDeterminism:
@@ -31,7 +31,7 @@ class TestDeterminism:
         assert [s.describe() for s in run_a.steps] == [
             s.describe() for s in run_b.steps
         ]
-        assert trace_lines(a) == trace_lines(b)  # identical EventTrace
+        assert trace_lines(a) == trace_lines(b)  # identical recovery transcript
         assert flatten_counters(a.total_counters()) == flatten_counters(
             b.total_counters()
         )  # identical PerfCounters
@@ -62,15 +62,16 @@ class TestMidRecoveryInjection:
     def test_injection_fires_during_recovery(self):
         engine = FuzzEngine(seed=1, schedule="recovery")
         engine.run(60)
-        trace = engine.env.recovery.trace
         injects = [
-            r for r in trace.tail(trace.capacity) if r.kind is TraceKind.INJECT
+            detail
+            for _tsc, kind, detail in engine.env.recovery.trace
+            if kind == "inject"
         ]
         assert injects, "recovery schedule never armed a mid-recovery fault"
         # The injected fault was contained: the run's oracles all held.
         assert engine.failure is None
-        for r in injects:
-            assert "mid-recovery fault" in r.detail
+        for detail in injects:
+            assert "mid-recovery fault" in detail
 
 
 class TestOracleIntegration:
@@ -86,10 +87,9 @@ class TestOracleIntegration:
         assert run.failure["kind"] == "oracle"
         assert run.failure["step"] == 0  # checked after the very first step
         assert "[synthetic]" in run.failure["detail"]
-        # The violation lands in the event trace as an ORACLE record.
-        trace = engine.env.recovery.trace
+        # The violation lands in the recovery transcript as an oracle entry.
         assert any(
-            r.kind is TraceKind.ORACLE for r in trace.tail(trace.capacity)
+            kind == "oracle" for _tsc, kind, _detail in engine.env.recovery.trace
         )
         # The engine stops at the failing step.
         assert len(run.steps) == 1

@@ -35,8 +35,7 @@ def reference(engine: FuzzEngine) -> str:
         for f in env.controller.fault_log
     ]
     lines += [
-        f"rtrace {r.tsc} {r.kind.value} {r.detail}"
-        for r in env.recovery.trace.tail(env.recovery.trace.capacity)
+        f"rtrace {tsc} {kind} {detail}" for tsc, kind, detail in env.recovery.trace
     ]
     lines += [
         f"pending {when} {seq} {tag}"
@@ -103,3 +102,15 @@ def test_advance_hashes_nothing(monkeypatch):
     assert fingerprints == 0
     assert session.engine.fingerprint() == reference(session.engine)
     assert fingerprints == 1
+
+
+def test_wrapped_transcript_keeps_its_fingerprint():
+    """This run records 562 recovery-transcript entries, so the oldest 50
+    have left the 512-entry window by the time it is hashed: the one pinned
+    run whose fingerprint covers a wrapped transcript."""
+    engine = FuzzEngine(seed=1004, schedule="recovery")
+    run = engine.run(300)
+    assert len(engine.env.recovery.trace) == 512
+    assert run.fingerprint == (
+        "402ddb01b23bfdd6afeff6f44222892c9871e9b7f9113579099ebb410a2c2135"
+    )

@@ -1,40 +1,26 @@
-"""Hypervisor event traces."""
+"""Hypervisor tracing: each core's spans on the flight recorder, and the
+lead-up a containment report reads back from them."""
+
+from itertools import takewhile
 
 import pytest
 
+from repro.core.debug import containment_bundle, render_dossier
 from repro.core.faults import EnclaveFaultError
 from repro.core.features import CovirtConfig
 from repro.harness.env import CovirtEnvironment, Layout
-from repro.perf.trace import EventTrace, TraceKind
 
 GiB = 1 << 30
 LAYOUT = Layout("2c/2n", {0: 1, 1: 1}, {0: GiB, 1: GiB})
 
 
-class TestEventTrace:
-    def test_records_in_order(self):
-        trace = EventTrace()
-        trace.record(10, TraceKind.LAUNCH, "go")
-        trace.record(20, TraceKind.EXIT, "cpuid")
-        assert [r.tsc for r in trace.tail()] == [10, 20]
-
-    def test_ring_bounds_and_counts_drops(self):
-        trace = EventTrace(capacity=4)
-        for i in range(10):
-            trace.record(i, TraceKind.EXIT, str(i))
-        assert len(trace) == 4
-        assert trace.dropped == 6
-        assert [r.tsc for r in trace.tail()] == [6, 7, 8, 9]
-
-    def test_render(self):
-        trace = EventTrace()
-        trace.record(123, TraceKind.DROP, "IPI → core 2")
-        assert "drop" in trace.render_tail()
-        assert "IPI" in trace.render_tail()
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            EventTrace(capacity=0)
+def track_spans(env, core_id):
+    """Names of the retained span events on one core's track, oldest first."""
+    return [
+        event["name"]
+        for event in env.machine.obs.flight.tail()
+        if event["type"] == "span" and event["track"] == f"core{core_id}"
+    ]
 
 
 class TestHypervisorTracing:
@@ -44,40 +30,31 @@ class TestHypervisorTracing:
 
     def test_launch_recorded(self, env):
         enclave = env.launch(LAYOUT, CovirtConfig.full())
-        hv = enclave.virt_context.hypervisors[enclave.assignment.core_ids[0]]
-        kinds = [r.kind for r in hv.trace.tail()]
-        assert TraceKind.LAUNCH in kinds
+        for core_id in enclave.assignment.core_ids:
+            assert track_spans(env, core_id)[0] == "hv.launch"
 
     def test_exit_and_drop_recorded(self, env):
         enclave = env.launch(LAYOUT, CovirtConfig.memory_ipi())
         bsp = enclave.assignment.core_ids[0]
         enclave.port.send_ipi(bsp, 0, 199)  # dropped
-        hv = enclave.virt_context.hypervisors[bsp]
-        kinds = [r.kind for r in hv.trace.tail()]
-        assert TraceKind.EXIT in kinds
-        assert TraceKind.DROP in kinds
-
-    def test_posted_delivery_recorded(self, env):
-        enclave = env.launch(LAYOUT, CovirtConfig.memory_ipi())
-        env.mcp.channels[enclave.enclave_id].host_send("ping", None)
-        bsp = enclave.assignment.core_ids[0]
-        hv = enclave.virt_context.hypervisors[bsp]
-        assert any(r.kind is TraceKind.POSTED for r in hv.trace.tail())
+        enclave.port.cpuid(bsp, 0)
+        exits = [n for n in track_spans(env, bsp) if n.startswith("hv.exit.")]
+        assert exits == ["hv.exit.apic_write", "hv.exit.cpuid"]
+        # The drop itself lives in the whitelist's log, which dossiers read.
+        dropped = enclave.virt_context.whitelist.dropped
+        assert [(d.msg.dest_core, d.msg.vector) for d in dropped] == [(0, 199)]
 
     def test_trace_tail_lands_in_dossier(self, env):
         enclave = env.launch(LAYOUT, CovirtConfig.memory_only())
         bsp = enclave.assignment.core_ids[0]
         with pytest.raises(EnclaveFaultError):
             enclave.port.read(bsp, 50 * GiB, 8)
-        report = env.controller.dossiers[enclave.enclave_id].render()
-        assert "hypervisor trace" in report
-        assert "terminate" in report
-
-    def test_timestamps_monotone(self, env):
-        enclave = env.launch(LAYOUT, CovirtConfig.full())
-        bsp = enclave.assignment.core_ids[0]
-        for _ in range(5):
-            enclave.port.cpuid(bsp, 0)
-        hv = enclave.virt_context.hypervisors[bsp]
-        stamps = [r.tsc for r in hv.trace.tail(32)]
-        assert stamps == sorted(stamps)
+        report = render_dossier(
+            containment_bundle(env.machine.obs.flight, enclave.enclave_id)
+        )
+        header = f"hypervisor trace, core {bsp} (tail):"
+        assert header in report
+        after = report.split(header + "\n", 1)[1].splitlines()
+        tail = list(takewhile(lambda line: line.startswith("  "), after))
+        assert tail[0].split()[1] == "hv.launch"
+        assert tail[-1].split()[1] == "hv.exit.ept_violation"

@@ -125,4 +125,4 @@ class TestCovirtOnMos:
         with pytest.raises(EnclaveFaultError):
             partition.port.read(bsp, 50 * GiB, 8)
         dossier = mos.ioctl(203, partition.enclave_id)
-        assert dossier.fault.enclave_id == partition.enclave_id
+        assert dossier["fault"]["enclave_id"] == partition.enclave_id
