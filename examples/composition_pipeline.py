@@ -63,7 +63,6 @@ def main() -> None:
     analytics.kernel.register_irq_handler(
         doorbell.vector,
         lambda core, irq: frames_seen.append(irq.source_core),
-        "frame-ready",
     )
     print(f"segment {segid:#x} attached at {attach_addr:#x}; doorbell "
           f"vector {doorbell.vector} granted")

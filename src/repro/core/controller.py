@@ -48,7 +48,7 @@ from repro.obs import metric_names
 from repro.perf.costs import CostModel, DEFAULT_COSTS
 from repro.perf.counters import PerfCounters
 from repro.pisces.enclave import Enclave
-from repro.pisces.kmod import COVIRT_IOCTL_BASE
+from repro.pisces.kmod import COVIRT_IOCTL_BASE, CoKernelFramework
 from repro.pisces.trampoline import boot_params_address_for, entry_point_for
 from repro.vmx.io_bitmap import IoBitmap
 from repro.vmx.msr_bitmap import MsrBitmap
@@ -137,7 +137,7 @@ class CovirtController:
         #: ``containment`` post-mortem as ``detail["dossier"]``.
         self.dossiers: dict[int, dict[str, Any]] = {}
         #: Every co-kernel framework this controller protects.
-        self._frameworks: list = []
+        self._frameworks: list[CoKernelFramework] = []
         self._pending_config: CovirtConfig | None = None
         # Interpose on the Pisces framework (boot path + control paths
         # + ioctl ABI).
@@ -190,15 +190,15 @@ class CovirtController:
             "dossiers": sorted(str(eid) for eid in self.dossiers),
         }
 
-    def interpose_on(self, framework) -> None:
+    def interpose_on(self, framework: CoKernelFramework) -> None:
         """Interpose Covirt on a co-kernel framework.
 
-        Any framework exposing the integration surface — a
+        Every framework shares the integration surface — a
         ``boot_protocol`` seam, a :class:`ControlHooks` instance, and a
-        ``register_ioctl`` ABI — can be protected; the paper argues the
-        approach generalises across co-kernel architectures
-        (Section III-A), and this is that claim made concrete: Pisces
-        and the IHK/McKernel-style framework both plug in here.
+        ``register_ioctl`` ABI — so any of them can be protected; the
+        paper argues the approach generalises across co-kernel
+        architectures (Section III-A), and this is that claim made
+        concrete: Pisces, IHK/McKernel and mOS all plug in here.
         """
         self._frameworks.append(framework)
         framework.boot_protocol = CovirtBootProtocol(
@@ -208,12 +208,10 @@ class CovirtController:
         framework.hooks.pre_memory_add.append(self._on_memory_grant)
         framework.hooks.post_memory_remove.append(self._on_memory_revoke)
         framework.hooks.on_teardown.append(self._on_teardown)
-        register = getattr(framework, "register_ioctl", None)
-        if register is not None:
-            register(CovirtIoctl.STATUS, self._ioctl_status)
-            register(CovirtIoctl.COUNTERS, self._ioctl_counters)
-            register(CovirtIoctl.PING, self._ioctl_ping)
-            register(CovirtIoctl.DOSSIER, self._ioctl_dossier)
+        framework.register_ioctl(CovirtIoctl.STATUS, self._ioctl_status)
+        framework.register_ioctl(CovirtIoctl.COUNTERS, self._ioctl_counters)
+        framework.register_ioctl(CovirtIoctl.PING, self._ioctl_ping)
+        framework.register_ioctl(CovirtIoctl.DOSSIER, self._ioctl_dossier)
 
     # -- public API ------------------------------------------------------
 
@@ -488,18 +486,18 @@ class CovirtController:
                 hook(fault)
 
     def _route_termination(self, fault: CovirtFault) -> None:
-        """Route termination to whichever framework owns the partition."""
+        """Route termination to whichever framework owns the partition.
+
+        Pisces enclaves fail through the Hobbes MCP, which also severs
+        their dependencies; another framework terminates its own.
+        """
         if fault.enclave_id in self.mcp.kmod.enclaves:
             self.mcp.enclave_failed(fault.enclave_id, fault.to_record())
             return
         for framework in self._frameworks:
-            instances = getattr(framework, "instances", None)
-            if instances is None:
-                continue
-            for os_index, enclave in instances.items():
-                if enclave.enclave_id == fault.enclave_id:
-                    framework.terminate(os_index, fault.to_record())
-                    return
+            if fault.enclave_id in framework.enclaves:
+                framework.terminate_enclave(fault.enclave_id, fault.to_record())
+                return
 
     # -- teardown ------------------------------------------------------
 

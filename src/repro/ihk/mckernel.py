@@ -7,18 +7,20 @@ can dereference syscall arguments directly.  The replica must be kept
 in sync as the LWK process maps and unmaps memory — one more piece of
 cross-OS/R shared state that can (and in the paper's experience, does)
 go stale.
+
+Boot, interrupts, hotplug and XEMEM mappings are the shared
+:class:`~repro.pisces.guest.GuestKernel` surface; this module adds the
+processes, their proxies and the delegation path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from functools import partial
+from typing import TYPE_CHECKING, Any
 
-from repro.hw.interrupts import Interrupt, InterruptKind
 from repro.hw.machine import Machine
-from repro.hw.memory import MemoryRegion, PAGE_SIZE, page_align_up
-from repro.kitten.memmap import GuestMemoryMap
-from repro.kitten.pagetable import GuestPageTable
+from repro.hw.memory import PAGE_SIZE, page_align_up
 from repro.kitten.syscalls import (
     DELEGATED_SYSCALLS,
     ENOMEM,
@@ -27,6 +29,7 @@ from repro.kitten.syscalls import (
     SyscallError,
 )
 from repro.pisces.bootparams import PiscesBootParams
+from repro.pisces.guest import GuestKernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hobbes.forwarding import SyscallForwarder
@@ -82,120 +85,26 @@ class MckProcess:
         )
 
 
-class McKernel:
+class McKernel(GuestKernel):
     """The LWK half of IHK/McKernel."""
+
+    BANNER = "McKernel booting on IHK: os instance {enclave_id}, {ncores} cpus"
+    #: McKernel also minimises timer noise (1 Hz housekeeping).
+    TIMER_PERIOD = 1_700_000_000
+    TOUCH_FILL = b"\xcc"
+    UNMAPPED_ERROR = staticmethod(partial(SyscallError, ENOMEM))
+    UNMAPPED_MESSAGE = "mckernel: {addr:#x} unmapped"
 
     def __init__(
         self, machine: Machine, enclave: "Enclave", params: PiscesBootParams
     ) -> None:
-        self.machine = machine
-        self.enclave = enclave
-        self.params = params
-        self.memmap = GuestMemoryMap()
-        self.pgtable = GuestPageTable()
-        for region in params.regions:
-            self.memmap.add_region(region)
-            self.pgtable.map(region.start, region.start, region.size)
-        self.online_cores: list[int] = [params.core_ids[0]]
-        self.console: list[str] = []
-        self.running = True
-        self.buggy_cleanup = False
-        self.hobbes_client: Any = None  # not used by IHK, kept for surface
+        super().__init__(machine, enclave, params)
         #: Host-side services, wired by the IHK module.
         self.forwarder: "SyscallForwarder | None" = None
         self.processes: dict[int, MckProcess] = {}
         self._next_pid = 1
         self._next_proxy_pid = 20_000
         self._alloc = params.regions[0].start + KERNEL_RESERVED_BYTES
-        self.irq_log: dict[int, list[Interrupt]] = {c: [] for c in params.core_ids}
-        self._irq_handlers: dict[int, Callable[[int, Interrupt], None]] = {}
-        self._configure_core(params.core_ids[0])
-
-    # -- guest-kernel surface (shared with Kitten/Nautilus) ----------------
-
-    @classmethod
-    def boot(cls, machine: Machine, enclave: "Enclave") -> "McKernel":
-        assert enclave.boot_params is not None
-        params = PiscesBootParams.read_from(
-            machine.memory, enclave.boot_params.address
-        )
-        params.address = enclave.boot_params.address
-        kernel = cls(machine, enclave, params)
-        kernel.console.append(
-            f"McKernel booting on IHK: os instance {params.enclave_id}, "
-            f"{len(params.core_ids)} cpus"
-        )
-        return kernel
-
-    def _configure_core(self, core_id: int) -> None:
-        from repro.hw.cpu import CpuMode
-
-        core = self.machine.core(core_id)
-        assert core.apic is not None
-        # McKernel also minimises timer noise (1 Hz housekeeping).
-        core.apic.configure_timer(1_700_000_000)
-        if core.mode is not CpuMode.GUEST:
-            core.apic.delivery_hook = lambda irq, c=core_id: self.inject_interrupt(
-                c, irq
-            )
-
-    def join_secondary_core(self, core_id: int) -> None:
-        if core_id in self.online_cores:
-            raise ValueError(f"cpu {core_id} already online")
-        self.online_cores.append(core_id)
-        self.irq_log.setdefault(core_id, [])
-        self._configure_core(core_id)
-
-    def shutdown(self) -> None:
-        self.running = False
-
-    def register_irq_handler(
-        self, vector: int, handler: Callable[[int, Interrupt], None], desc: str = ""
-    ) -> None:
-        self._irq_handlers[vector] = handler
-
-    def inject_interrupt(self, core_id: int, interrupt: Interrupt) -> None:
-        if not self.running:
-            return
-        self.irq_log.setdefault(core_id, []).append(interrupt)
-        handler = self._irq_handlers.get(interrupt.vector)
-        if handler is not None:
-            handler(core_id, interrupt)
-        apic = self.machine.core(core_id).apic
-        if apic is not None and interrupt.kind is not InterruptKind.NMI:
-            apic.ack(interrupt.vector)
-
-    def memory_hotplug_add(self, region: MemoryRegion) -> None:
-        self.memmap.add_region(region)
-        self.pgtable.map(region.start, region.start, region.size)
-        self.params.regions.append(region)
-
-    def memory_hotplug_remove(self, region: MemoryRegion) -> bool:
-        if region in self.params.regions:
-            self.params.regions.remove(region)
-        if not self.buggy_cleanup:
-            self.memmap.remove_region(region)
-            self.pgtable.unmap(region.start, region.size)
-        return True
-
-    def map_shared(self, region: MemoryRegion) -> None:
-        self.memmap.add_region(region)
-        self.pgtable.map(region.start, region.start, region.size)
-
-    def unmap_shared(self, region: MemoryRegion) -> None:
-        self.memmap.remove_region(region)
-        self.pgtable.unmap(region.start, region.size)
-
-    def touch(
-        self, core_id: int, addr: int, length: int = 8, *, write: bool = False
-    ) -> bytes | None:
-        if not self.pgtable.covers(addr, length):
-            raise SyscallError(ENOMEM, f"mckernel: {addr:#x} unmapped")
-        assert self.enclave.port is not None
-        if write:
-            self.enclave.port.write(core_id, addr, b"\xcc" * length)
-            return None
-        return self.enclave.port.read(core_id, addr, length)
 
     # -- processes & the proxy mechanism --------------------------------
 

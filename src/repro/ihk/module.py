@@ -1,27 +1,25 @@
 """The IHK host module: reserve / boot / destroy OS instances.
 
-Architecturally parallel to :class:`repro.pisces.kmod.PiscesKmod` but
-with IHK's idioms: resources are *reserved* from Linux, kernels are
-*OS instances* addressed by index, and the host side carries the proxy
-syscall service.  It exposes the same integration surface
-(``hooks`` / ``boot_protocol`` / ``register_ioctl``), which is all
-Covirt needs to protect it.
+IHK's idioms on the shared partition lifecycle
+(:class:`repro.pisces.kmod.CoKernelFramework`): resources are
+*reserved* from Linux, kernels are *OS instances* addressed by index,
+the host side carries the proxy syscall service, and a failed instance
+gives its reservation back at once.  The integration surface Covirt
+needs comes with the base.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable
+from typing import Any
 
 from repro.hobbes.forwarding import SyscallForwarder
 from repro.hw.machine import Machine
 from repro.hw.memory import page_align_up
-from repro.linuxhost.host import LinuxHost, OFFLINE_OWNER
-from repro.pisces.bootparams import PiscesBootParams
-from repro.pisces.enclave import Enclave, EnclaveState, FaultRecord, NativeAccessPort
-from repro.pisces.kmod import ControlHooks
-from repro.pisces.resources import ResourceAssignment, ResourceSpec, enclave_owner
-from repro.pisces.trampoline import NativeBootProtocol, boot_params_address_for
+from repro.linuxhost.host import LinuxHost
+from repro.pisces.enclave import Enclave, EnclaveState, FaultRecord
+from repro.pisces.kmod import CoKernelFramework
+from repro.pisces.resources import ResourceSpec
 
 #: OS-instance enclave ids live in their own range so a Covirt
 #: controller can protect Pisces enclaves and IHK instances side by side.
@@ -39,29 +37,19 @@ class IhkIoctl(enum.IntEnum):
     QUERY_STATUS = 153
 
 
-class IhkModule:
+class IhkModule(CoKernelFramework):
     """The IHK driver stack loaded into the host."""
 
     MODULE_NAME = "ihk"
+    ERROR = IhkError
 
     def __init__(self, machine: Machine, host: LinuxHost) -> None:
-        self.machine = machine
-        self.host = host
-        self.instances: dict[int, Enclave] = {}
+        super().__init__(machine, host)
         self._next_index = 0
-        self.hooks = ControlHooks()
-        self.boot_protocol = NativeBootProtocol(machine)
         #: The host-side proxy syscall service shared by all instances.
         self.proxy_service = SyscallForwarder()
-        self._ioctl_extensions: dict[int, Callable[[Any], Any]] = {}
-        host.load_module(self.MODULE_NAME, self)
 
     # -- ioctl ABI ---------------------------------------------------------
-
-    def register_ioctl(self, cmd: int, handler: Callable[[Any], Any]) -> None:
-        if cmd in self._ioctl_extensions:
-            raise IhkError(f"ioctl {cmd} already registered")
-        self._ioctl_extensions[cmd] = handler
 
     def ioctl(self, cmd: int, arg: Any = None) -> Any:
         if cmd == IhkIoctl.RESERVE:
@@ -73,70 +61,29 @@ class IhkModule:
             return self.destroy(arg)
         if cmd == IhkIoctl.QUERY_STATUS:
             return self.instance(arg).state
-        handler = self._ioctl_extensions.get(cmd)
-        if handler is None:
-            raise IhkError(f"unknown ioctl {cmd}")
-        return handler(arg)
+        return super().ioctl(cmd, arg)
 
     # -- lifecycle -----------------------------------------------------
 
     def instance(self, os_index: int) -> Enclave:
         try:
-            return self.instances[os_index]
+            return self.enclaves[IHK_ID_BASE + os_index]
         except KeyError:
             raise IhkError(f"no OS instance {os_index}") from None
 
     def reserve(
         self, cpus_per_zone: dict[int, int], mem_per_zone: dict[int, int]
     ) -> int:
-        """``ihk reserve``: carve CPUs and memory out of Linux."""
+        """``ihk reserve``: carve CPUs and memory out of Linux.  The
+        index advances only when the reservation succeeds."""
         os_index = self._next_index
-        enclave_id = IHK_ID_BASE + os_index
         spec = ResourceSpec(
             cores_per_zone=dict(cpus_per_zone),
             mem_per_zone={z: page_align_up(m) for z, m in mem_per_zone.items()},
             name=f"mcos{os_index}",
             kernel_type="mckernel",
         )
-        assignment = ResourceAssignment()
-        taken_cores: list[int] = []
-        taken_regions = []
-        try:
-            for zone_id, n in sorted(spec.cores_per_zone.items()):
-                free = [
-                    c.core_id
-                    for c in self.machine.cores_in_zone(zone_id)
-                    if self.host.can_offline(c.core_id)
-                ]
-                if len(free) < n:
-                    raise IhkError(
-                        f"zone {zone_id}: need {n} cpus, {len(free)} free"
-                    )
-                chosen = free[:n]
-                self.host.offline_cores(chosen)
-                taken_cores += chosen
-                assignment.core_ids += chosen
-            for zone_id, size in sorted(spec.mem_per_zone.items()):
-                region = self.host.offline_memory(size, zone_id)
-                taken_regions.append(region)
-                self.machine.memory.transfer(
-                    region, OFFLINE_OWNER, enclave_owner(enclave_id)
-                )
-                assignment.add_region(region)
-        except Exception:
-            for region in taken_regions:
-                owner = self.machine.memory.region_owner(region)
-                if owner == enclave_owner(enclave_id):
-                    self.machine.memory.transfer(
-                        region, enclave_owner(enclave_id), OFFLINE_OWNER
-                    )
-                self.host.online_memory_return(region)
-            if taken_cores:
-                self.host.online_cores_return(taken_cores)
-            raise
-        enclave = Enclave(enclave_id, spec.name, spec, assignment)
-        enclave.port = NativeAccessPort(self.machine, enclave, self.host)
-        self.instances[os_index] = enclave
+        self._create(IHK_ID_BASE + os_index, spec)
         self._next_index += 1
         return os_index
 
@@ -145,58 +92,24 @@ class IhkModule:
         enclave = self.instance(os_index)
         if enclave.state is not EnclaveState.CREATED:
             raise IhkError(f"mcos{os_index} already booted")
-        enclave.state = EnclaveState.BOOTING
-        params = PiscesBootParams(
-            enclave_id=enclave.enclave_id,
-            core_ids=list(enclave.assignment.core_ids),
-            regions=list(enclave.assignment.regions),
-        )
-        params.write_to(self.machine.memory, boot_params_address_for(enclave))
-        enclave.boot_params = params
-        ControlHooks._fire(self.hooks.pre_boot, enclave)
-        bsp, *aps = enclave.assignment.core_ids
-        self.boot_protocol.boot_core(enclave, bsp, is_bsp=True)
-        for core_id in aps:
-            self.boot_protocol.boot_core(enclave, core_id, is_bsp=False)
-        enclave.state = EnclaveState.RUNNING
+        return self._boot(enclave)
+
+    def _wire(self, enclave: Enclave) -> None:
         # Wire the proxy syscall service into the kernel.
         assert enclave.kernel is not None
         enclave.kernel.forwarder = self.proxy_service
-        ControlHooks._fire(self.hooks.post_boot, enclave)
-        return enclave
 
-    def terminate(self, os_index: int, fault: FaultRecord) -> None:
-        """Fault-path termination (Covirt's fault sink routes here when
-        the controller manages IHK instances)."""
-        enclave = self.instance(os_index)
-        if enclave.state in (EnclaveState.DESTROYED, EnclaveState.FAILED):
-            return
-        enclave.state = EnclaveState.FAILED
-        enclave.fault = fault
-        for core_id in enclave.assignment.core_ids:
-            self.machine.core(core_id).halt()
-        self._reclaim(enclave)
+    def terminate_enclave(self, enclave_id: int, fault: FaultRecord) -> bool:
+        """Fault-path termination, which also releases the reservation."""
+        halted = super().terminate_enclave(enclave_id, fault)
+        if halted:
+            self._reclaim(self.enclaves[enclave_id])
+        return halted
 
     def destroy(self, os_index: int) -> None:
         """``ihk os destroy``: shutdown + release the reservation."""
         enclave = self.instance(os_index)
-        if enclave.state is EnclaveState.RUNNING:
-            assert enclave.kernel is not None
-            enclave.kernel.shutdown()
-            for core_id in enclave.assignment.core_ids:
-                self.machine.core(core_id).halt()
-            enclave.state = EnclaveState.DESTROYED
-        if enclave.state is EnclaveState.CREATED:
+        self._shut_down(enclave)
+        if enclave.state in (EnclaveState.RUNNING, EnclaveState.CREATED):
             enclave.state = EnclaveState.DESTROYED
         self._reclaim(enclave)
-
-    def _reclaim(self, enclave: Enclave) -> None:
-        ControlHooks._fire(self.hooks.on_teardown, enclave)
-        for region in list(enclave.assignment.regions):
-            self.machine.memory.transfer(
-                region, enclave_owner(enclave.enclave_id), OFFLINE_OWNER
-            )
-            self.host.online_memory_return(region)
-            enclave.assignment.remove_region(region)
-        self.host.online_cores_return(list(enclave.assignment.core_ids))
-        enclave.assignment.core_ids.clear()

@@ -1,37 +1,23 @@
 """The Kitten kernel proper.
 
-One :class:`KittenKernel` instance runs per enclave.  It parses the
-Pisces boot-parameter structure out of guest memory, builds its memory
-map, brings up secondary cores, and exposes the task/syscall machinery
-workloads run on.
-
-Two aspects are load-bearing for the reproduction:
-
-* **Every architectural access goes through the enclave's port.** The
-  kernel never touches ``machine.memory`` directly after boot; whether
-  the access is policed (Covirt) or not (native) is entirely the port's
-  business, and the kernel is bit-for-bit oblivious to which one it got
-  — the transparency property the paper claims.
-* **The kernel acts on its own memory map, not on ground truth.**  The
-  ``buggy_cleanup`` knob makes hot-remove "forget" to retire mappings,
-  reproducing the stale-XEMEM-segment bug from Section V's anecdote.
+One :class:`KittenKernel` instance runs per enclave.  The guest-kernel
+surface it shares with the other co-kernels (boot-parameter parse,
+core bring-up, IRQ dispatch, hotplug, XEMEM mappings, ``touch``) is
+:class:`repro.pisces.guest.GuestKernel`; this module adds what is
+Kitten's own: a contiguous bump allocator per region, run-to-completion
+tasks, and the syscall table workloads run on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.hw.apic import DeliveryMode
-from repro.hw.interrupts import Interrupt, InterruptKind
 from repro.hw.machine import Machine
 from repro.hw.memory import MemoryRegion, PAGE_SIZE, page_align_up
-from repro.kitten.memmap import GuestMemoryMap
-from repro.kitten.pagetable import GuestPageTable
 from repro.kitten.sched import Scheduler
 from repro.kitten.syscalls import (
     DELEGATED_SYSCALLS,
-    EFAULT,
     EINVAL,
     ENOMEM,
     ENOSYS,
@@ -41,6 +27,7 @@ from repro.kitten.syscalls import (
 )
 from repro.kitten.task import MemorySlice, Task, TaskState
 from repro.pisces.bootparams import PiscesBootParams
+from repro.pisces.guest import GuestKernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pisces.enclave import Enclave
@@ -57,116 +44,46 @@ class GuestPageFault(Exception):
     """A task touched memory outside its allocation (guest-level #PF)."""
 
 
-@dataclass
-class IrqBinding:
-    handler: Callable[[int, Interrupt], None]
-    description: str = ""
-
-
-class KittenKernel:
+class KittenKernel(GuestKernel):
     """The LWK instance managing one enclave's resources."""
+
+    BANNER = "Kitten booting: enclave {enclave_id}, {ncores} cores, {mib} MiB"
+    TIMER_PERIOD = HOUSEKEEPING_TICK_CYCLES
+    TOUCH_FILL = b"\xAB"
+    UNMAPPED_ERROR = GuestPageFault
+    UNMAPPED_MESSAGE = "kitten: {addr:#x} not mapped in guest page tables"
 
     def __init__(
         self, machine: Machine, enclave: "Enclave", params: PiscesBootParams
     ) -> None:
-        self.machine = machine
-        self.enclave = enclave
-        self.params = params
-        self.memmap = GuestMemoryMap()
-        #: The kernel's real 4-level identity page tables (huge pages
-        #: where alignment allows, as LWKs do).
-        self.pgtable = GuestPageTable()
-        for region in params.regions:
-            self.memmap.add_region(region)
-            self.pgtable.map(region.start, region.start, region.size)
-        self.online_cores: list[int] = [params.core_ids[0]]
+        super().__init__(machine, enclave, params)
         self.sched = Scheduler([params.core_ids[0]])
         self.tasks: dict[int, Task] = {}
         self._next_tid = 1
-        # Bump allocator over owned memory, skipping the kernel image.
-        self._alloc_cursor: dict[int, int] = {}
+        # Bump allocator per region, skipping the kernel image.
         first = params.regions[0]
-        self._heap_starts = {
+        self._alloc_cursor: dict[int, int] = {
             r.start: (
                 r.start + KERNEL_RESERVED_BYTES if r.start == first.start else r.start
             )
             for r in params.regions
         }
-        self._alloc_cursor = dict(self._heap_starts)
-        self._irq_handlers: dict[int, IrqBinding] = {}
-        self.irq_log: dict[int, list[Interrupt]] = {c: [] for c in params.core_ids}
-        self.console: list[str] = []
-        self.running = True
-        #: Fault-injection knob: skip memory-map retirement on hot-remove.
-        self.buggy_cleanup = False
-        #: Hobbes runtime attach point (set by the runtime when present).
-        self.hobbes_client: Any = None
-        self._configure_core(params.core_ids[0])
-
-    # -- boot ------------------------------------------------------------
 
     @classmethod
     def boot(cls, machine: Machine, enclave: "Enclave") -> "KittenKernel":
-        """BSP entry point: parse boot params out of guest memory."""
-        assert enclave.boot_params is not None
-        params = PiscesBootParams.read_from(
-            machine.memory, enclave.boot_params.address
-        )
-        params.address = enclave.boot_params.address
-        kernel = cls(machine, enclave, params)
-        kernel.console.append(
-            f"Kitten booting: enclave {params.enclave_id}, "
-            f"{len(params.core_ids)} cores, "
-            f"{sum(r.size for r in params.regions) >> 20} MiB"
-        )
-        return kernel
-
-    def _configure_core(self, core_id: int) -> None:
-        core = self.machine.core(core_id)
-        assert core.apic is not None
-        core.apic.configure_timer(HOUSEKEEPING_TICK_CYCLES)
-        # Under native execution Kitten owns the physical delivery hook;
-        # under Covirt the hypervisor owns it and calls inject_interrupt.
-        from repro.hw.cpu import CpuMode
-
-        if core.mode is not CpuMode.GUEST:
-            core.apic.delivery_hook = lambda irq, c=core_id: self.inject_interrupt(
-                c, irq
-            )
+        # Defined here rather than inherited: perfbench/layers.py traces
+        # ``KittenKernel.boot`` by reading it from this class's __dict__.
+        return super().boot(machine, enclave)
 
     def join_secondary_core(self, core_id: int) -> None:
-        if core_id in self.online_cores:
-            raise ValueError(f"core {core_id} already online in enclave")
-        self.online_cores.append(core_id)
+        super().join_secondary_core(core_id)
         self.sched.add_core(core_id)
-        self.irq_log.setdefault(core_id, [])
-        self._configure_core(core_id)
 
     def shutdown(self) -> None:
-        self.running = False
+        super().shutdown()
         for task in self.tasks.values():
             if task.state in (TaskState.READY, TaskState.RUNNING, TaskState.BLOCKED):
                 task.kill()
-
-    # -- interrupts --------------------------------------------------------
-
-    def register_irq_handler(
-        self, vector: int, handler: Callable[[int, Interrupt], None], desc: str = ""
-    ) -> None:
-        self._irq_handlers[vector] = IrqBinding(handler, desc)
-
-    def inject_interrupt(self, core_id: int, interrupt: Interrupt) -> None:
-        """IRQ dispatch: called by the APIC hook (native) or by the
-        Covirt delivery engine (virtualized)."""
-        if not self.running:
-            return
-        self.irq_log.setdefault(core_id, []).append(interrupt)
-        binding = self._irq_handlers.get(interrupt.vector)
-        if binding is not None:
-            binding.handler(core_id, interrupt)
-        apic = self.machine.core(core_id).apic
-        if apic is not None and interrupt.kind is not InterruptKind.NMI:
-            apic.ack(interrupt.vector)
 
     def send_ipi(
         self, from_core: int, dest_core: int, vector: int,
@@ -195,65 +112,20 @@ class KittenKernel:
         raise SyscallError(ENOMEM, f"kitten: cannot allocate {size:#x} bytes")
 
     def memory_hotplug_add(self, region: MemoryRegion) -> None:
-        """Receive a page-frame list for newly granted memory."""
-        self.memmap.add_region(region)
-        self.pgtable.map(region.start, region.start, region.size)
-        self.params.regions.append(region)
+        super().memory_hotplug_add(region)
         self._alloc_cursor[region.start] = region.start
-        self._heap_starts[region.start] = region.start
 
     def memory_hotplug_remove(self, region: MemoryRegion) -> bool:
-        """Receive and acknowledge a page-frame removal list.
-
-        With ``buggy_cleanup`` set, the kernel acknowledges but fails to
-        retire its own mappings — the stale-state bug class from the
-        paper's evaluation narrative.
-        """
-        if region in self.params.regions:
-            self.params.regions.remove(region)
         self._alloc_cursor.pop(region.start, None)
-        self._heap_starts.pop(region.start, None)
-        if not self.buggy_cleanup:
-            self.memmap.remove_region(region)
-            self.pgtable.unmap(region.start, region.size)
-        return True  # ack
-
-    def map_shared(self, region: MemoryRegion) -> None:
-        """Install an XEMEM attachment into the kernel's mappings."""
-        self.memmap.add_region(region)
-        self.pgtable.map(region.start, region.start, region.size)
-
-    def unmap_shared(self, region: MemoryRegion) -> None:
-        """Retire an XEMEM attachment (the ack half of detach)."""
-        self.memmap.remove_region(region)
-        self.pgtable.unmap(region.start, region.size)
+        return super().memory_hotplug_remove(region)
 
     def inject_stale_mapping(self, start: int, size: int) -> None:
         """Fault-injection helper: make the kernel *believe* it owns
         [start, +size) — memory map and page tables both — the way a
         missed cleanup would."""
+        assert self.pgtable is not None
         self.memmap.add(start, size)
         self.pgtable.map(start, start, size)
-
-    def touch(
-        self, core_id: int, addr: int, length: int = 8, *, write: bool = False
-    ) -> bytes | None:
-        """Kernel-mode memory access.
-
-        The kernel walks its *own* page tables and then issues the
-        access through the enclave port.  When those tables are stale,
-        the kernel believes the access is fine — and only the layer
-        underneath (Covirt, or nothing) decides what actually happens.
-        """
-        if not self.pgtable.covers(addr, length):
-            raise GuestPageFault(
-                f"kitten: {addr:#x} not mapped in guest page tables"
-            )
-        assert self.enclave.port is not None
-        if write:
-            self.enclave.port.write(core_id, addr, b"\xAB" * length)
-            return None
-        return self.enclave.port.read(core_id, addr, length)
 
     # -- tasks & syscalls ----------------------------------------------
 

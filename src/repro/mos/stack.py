@@ -1,6 +1,9 @@
 """The mOS stack: boot-time LWK cores embedded in Linux.
 
-Differences from Pisces/IHK, each load-bearing for the tests:
+Both halves sit on the shared bases
+(:class:`~repro.pisces.kmod.CoKernelFramework` and
+:class:`~repro.pisces.guest.GuestKernel`).  Differences from Pisces/IHK,
+each load-bearing for the tests:
 
 * **No dynamic enclaves.**  LWK cores are designated once, "at boot";
   there is no create/destroy churn (``designate`` can be called once).
@@ -16,14 +19,12 @@ Differences from Pisces/IHK, each load-bearing for the tests:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from functools import partial
+from typing import Any
 
 from repro.hobbes.forwarding import SyscallForwarder
-from repro.hw.interrupts import Interrupt, InterruptKind
 from repro.hw.machine import Machine
 from repro.hw.memory import MemoryRegion, PAGE_SIZE, page_align_up
-from repro.kitten.memmap import GuestMemoryMap
-from repro.kitten.pagetable import GuestPageTable
 from repro.kitten.syscalls import (
     DELEGATED_SYSCALLS,
     ENOMEM,
@@ -31,12 +32,12 @@ from repro.kitten.syscalls import (
     Syscall,
     SyscallError,
 )
-from repro.linuxhost.host import LinuxHost, OFFLINE_OWNER
+from repro.linuxhost.host import LinuxHost
 from repro.pisces.bootparams import PiscesBootParams
-from repro.pisces.enclave import Enclave, EnclaveState, NativeAccessPort
-from repro.pisces.kmod import ControlHooks
-from repro.pisces.resources import ResourceAssignment, ResourceSpec, enclave_owner
-from repro.pisces.trampoline import NativeBootProtocol, boot_params_address_for
+from repro.pisces.enclave import Enclave
+from repro.pisces.guest import GuestKernel
+from repro.pisces.kmod import CoKernelFramework, ControlHooks
+from repro.pisces.resources import ResourceSpec
 
 #: mOS partitions get their own id range.
 MOS_ID = 2000
@@ -66,120 +67,27 @@ class LwkProcess:
         )
 
 
-class MosLwk:
-    """The embedded LWK half of mOS."""
+class MosLwk(GuestKernel):
+    """The embedded LWK half of mOS, on the shared guest-kernel surface."""
+
+    BANNER = "mOS LWK online: {ncores} designated cores"
+    TIMER_PERIOD = None  # LWK cores run tickless
+    TOUCH_FILL = b"\x05"
+    UNMAPPED_ERROR = staticmethod(partial(SyscallError, ENOMEM))
+    UNMAPPED_MESSAGE = "mos: {addr:#x} unmapped"
 
     def __init__(
         self, machine: Machine, enclave: "Enclave", params: PiscesBootParams
     ) -> None:
-        self.machine = machine
-        self.enclave = enclave
-        self.params = params
-        self.memmap = GuestMemoryMap()
-        self.pgtable = GuestPageTable()
-        for region in params.regions:
-            self.memmap.add_region(region)
-            self.pgtable.map(region.start, region.start, region.size)
-        self.online_cores: list[int] = [params.core_ids[0]]
-        self.console: list[str] = []
-        self.running = True
-        self.buggy_cleanup = False
-        self.hobbes_client: Any = None
+        super().__init__(machine, enclave, params)
         #: Wired by the stack: direct (in-kernel) Linux services.
         self.linux_services: SyscallForwarder | None = None
         self.shared_window: MemoryRegion | None = None
         self.processes: dict[int, LwkProcess] = {}
         self._next_pid = 1
         self._alloc = params.regions[0].start + (1 << 20)
-        self.irq_log: dict[int, list[Interrupt]] = {c: [] for c in params.core_ids}
-        self._irq_handlers: dict[int, Callable[[int, Interrupt], None]] = {}
         #: Cycles spent in syscall trampolines (integration-cost metric).
         self.trampoline_cycles = 0
-        self._configure_core(params.core_ids[0])
-
-    @classmethod
-    def boot(cls, machine: Machine, enclave: "Enclave") -> "MosLwk":
-        assert enclave.boot_params is not None
-        params = PiscesBootParams.read_from(
-            machine.memory, enclave.boot_params.address
-        )
-        params.address = enclave.boot_params.address
-        lwk = cls(machine, enclave, params)
-        lwk.console.append(
-            f"mOS LWK online: {len(params.core_ids)} designated cores"
-        )
-        return lwk
-
-    def _configure_core(self, core_id: int) -> None:
-        from repro.hw.cpu import CpuMode
-
-        core = self.machine.core(core_id)
-        assert core.apic is not None
-        core.apic.configure_timer(None)  # LWK cores run tickless
-        if core.mode is not CpuMode.GUEST:
-            core.apic.delivery_hook = lambda irq, c=core_id: self.inject_interrupt(
-                c, irq
-            )
-
-    def join_secondary_core(self, core_id: int) -> None:
-        if core_id in self.online_cores:
-            raise ValueError(f"core {core_id} already designated")
-        self.online_cores.append(core_id)
-        self.irq_log.setdefault(core_id, [])
-        self._configure_core(core_id)
-
-    def shutdown(self) -> None:
-        self.running = False
-
-    def register_irq_handler(
-        self, vector: int, handler: Callable[[int, Interrupt], None], desc: str = ""
-    ) -> None:
-        self._irq_handlers[vector] = handler
-
-    def inject_interrupt(self, core_id: int, interrupt: Interrupt) -> None:
-        if not self.running:
-            return
-        self.irq_log.setdefault(core_id, []).append(interrupt)
-        handler = self._irq_handlers.get(interrupt.vector)
-        if handler is not None:
-            handler(core_id, interrupt)
-        apic = self.machine.core(core_id).apic
-        if apic is not None and interrupt.kind is not InterruptKind.NMI:
-            apic.ack(interrupt.vector)
-
-    # -- memory (same surface as the other guests) ----------------------
-
-    def memory_hotplug_add(self, region: MemoryRegion) -> None:
-        self.memmap.add_region(region)
-        self.pgtable.map(region.start, region.start, region.size)
-        self.params.regions.append(region)
-
-    def memory_hotplug_remove(self, region: MemoryRegion) -> bool:
-        if region in self.params.regions:
-            self.params.regions.remove(region)
-        if not self.buggy_cleanup:
-            self.memmap.remove_region(region)
-            self.pgtable.unmap(region.start, region.size)
-        return True
-
-    def map_shared(self, region: MemoryRegion) -> None:
-        self.memmap.add_region(region)
-        self.pgtable.map(region.start, region.start, region.size)
-
-    def unmap_shared(self, region: MemoryRegion) -> None:
-        self.memmap.remove_region(region)
-        self.pgtable.unmap(region.start, region.size)
-
-    def touch(
-        self, core_id: int, addr: int, length: int = 8, *, write: bool = False
-    ) -> bytes | None:
-        if not self.pgtable.covers(addr, length):
-            raise SyscallError(ENOMEM, f"mos: {addr:#x} unmapped")
-        assert self.enclave.port is not None
-        if write:
-            self.enclave.port.write(core_id, addr, b"\x05" * length)
-            return None
-        return self.enclave.port.read(core_id, addr, length)
 
     # -- processes ---------------------------------------------------------
 
@@ -220,50 +128,22 @@ class MosLwk:
         raise SyscallError(ENOSYS, f"{syscall.name} not modelled on mOS")
 
 
-class MosStack:
-    """The host-side half: boot-time designation of LWK resources."""
+class MosStack(CoKernelFramework):
+    """The host-side half: boot-time designation of LWK resources.
+
+    A failed partition is only halted: mOS cannot reclaim into a fresh
+    partition — the designation was at boot — but the *host* keeps
+    running, which is the point.
+    """
 
     MODULE_NAME = "mos"
+    ERROR = MosError
 
     def __init__(self, machine: Machine, host: LinuxHost) -> None:
-        self.machine = machine
-        self.host = host
-        self.hooks = ControlHooks()
-        self.boot_protocol = NativeBootProtocol(machine)
+        super().__init__(machine, host)
         self.partition: Enclave | None = None
         self.shared_window: MemoryRegion | None = None
         self.linux_services = SyscallForwarder()
-        self._ioctl_extensions: dict[int, Callable[[Any], Any]] = {}
-        host.load_module(self.MODULE_NAME, self)
-
-    # The Covirt interposition surface.
-    def register_ioctl(self, cmd: int, handler: Callable[[Any], Any]) -> None:
-        if cmd in self._ioctl_extensions:
-            raise MosError(f"ioctl {cmd} already registered")
-        self._ioctl_extensions[cmd] = handler
-
-    def ioctl(self, cmd: int, arg: Any = None) -> Any:
-        handler = self._ioctl_extensions.get(cmd)
-        if handler is None:
-            raise MosError(f"unknown ioctl {cmd}")
-        return handler(arg)
-
-    @property
-    def instances(self) -> dict[int, Enclave]:
-        """Fault-routing surface (same shape as IHK's)."""
-        return {0: self.partition} if self.partition is not None else {}
-
-    def terminate(self, _index: int, fault) -> None:
-        assert self.partition is not None
-        partition = self.partition
-        if partition.state in (EnclaveState.FAILED, EnclaveState.DESTROYED):
-            return
-        partition.state = EnclaveState.FAILED
-        partition.fault = fault
-        for core_id in partition.assignment.core_ids:
-            self.machine.core(core_id).halt()
-        # mOS cannot reclaim into a fresh partition — the designation was
-        # at boot — but the *host* keeps running, which is the point.
 
     # -- boot-time designation -------------------------------------------
 
@@ -280,42 +160,10 @@ class MosStack:
             name="mos-lwk",
             kernel_type="mos-lwk",
         )
-        assignment = ResourceAssignment()
-        for zone_id, n in sorted(spec.cores_per_zone.items()):
-            free = [
-                c.core_id
-                for c in self.machine.cores_in_zone(zone_id)
-                if self.host.can_offline(c.core_id)
-            ]
-            if len(free) < n:
-                raise MosError(f"zone {zone_id}: need {n} cores")
-            chosen = free[:n]
-            self.host.offline_cores(chosen)
-            assignment.core_ids += chosen
-        for zone_id, size in sorted(spec.mem_per_zone.items()):
-            region = self.host.offline_memory(size, zone_id)
-            self.machine.memory.transfer(
-                region, OFFLINE_OWNER, enclave_owner(MOS_ID)
-            )
-            assignment.add_region(region)
-        partition = Enclave(MOS_ID, spec.name, spec, assignment)
-        partition.port = NativeAccessPort(self.machine, partition, self.host)
-        self.partition = partition
-        # Boot the designated cores.
-        partition.state = EnclaveState.BOOTING
-        params = PiscesBootParams(
-            enclave_id=MOS_ID,
-            core_ids=list(assignment.core_ids),
-            regions=list(assignment.regions),
-        )
-        params.write_to(self.machine.memory, boot_params_address_for(partition))
-        partition.boot_params = params
-        ControlHooks._fire(self.hooks.pre_boot, partition)
-        bsp, *aps = assignment.core_ids
-        self.boot_protocol.boot_core(partition, bsp, is_bsp=True)
-        for core_id in aps:
-            self.boot_protocol.boot_core(partition, core_id, is_bsp=False)
-        partition.state = EnclaveState.RUNNING
+        self.partition = self._create(MOS_ID, spec)
+        return self._boot(self.partition)
+
+    def _wire(self, partition: Enclave) -> None:
         # Wire the embedded-kernel integration: direct Linux services
         # plus the shared kernel-state window, mapped through the grant
         # path so a Covirt EPT (if any) learns about it first.
@@ -331,5 +179,3 @@ class MosStack:
         ControlHooks._fire(self.hooks.pre_memory_add, partition, self.shared_window)
         lwk.map_shared(self.shared_window)
         lwk.shared_window = self.shared_window
-        ControlHooks._fire(self.hooks.post_boot, partition)
-        return partition

@@ -1,25 +1,24 @@
 """The Nautilus aerokernel.
 
-Implements the same guest-kernel surface Pisces and Covirt expect from
-any co-kernel (boot from the trampoline's boot-parameter structure,
-memory map + hotplug, interrupt injection, console, shutdown) with an
-aerokernel's execution model on top: cooperative fibers in a single
-kernel-wide address space, per-core run queues with explicit yield, and
-no timer interrupts at all.
+Boots through the guest-kernel surface every co-kernel shares
+(:class:`~repro.pisces.guest.GuestKernel`: boot from the trampoline's
+boot-parameter structure, memory map + hotplug, interrupt injection,
+console, shutdown) and puts an aerokernel's execution model on top:
+cooperative fibers in a single kernel-wide address space, per-core run
+queues with explicit yield, and no timer interrupts at all.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
-from repro.hw.interrupts import Interrupt, InterruptKind
 from repro.hw.machine import Machine
-from repro.hw.memory import MemoryRegion, PAGE_SIZE, page_align_up
-from repro.kitten.memmap import GuestMemoryMap
+from repro.hw.memory import PAGE_SIZE, page_align_up
 from repro.pisces.bootparams import PiscesBootParams
+from repro.pisces.guest import GuestKernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pisces.enclave import Enclave
@@ -60,93 +59,43 @@ class Fiber:
         )
 
 
-class NautilusKernel:
+class NautilusKernel(GuestKernel):
     """One aerokernel instance managing an enclave."""
+
+    BANNER = (
+        "Nautilus aerokernel booting: enclave {enclave_id}, "
+        "{ncores} cores, timer masked"
+    )
+    # The aerokernel masks the timer entirely: scheduling is
+    # cooperative, so there is *zero* periodic noise.
+    TIMER_PERIOD = None
+    TOUCH_FILL = b"\xaa"
+    UNMAPPED_ERROR = MemoryError
+    UNMAPPED_MESSAGE = "nautilus: {addr:#x} not in memory map"
+    #: One flat kernel-wide mapping: accesses are checked against the
+    #: memory map.
+    PAGE_TABLES = False
 
     def __init__(
         self, machine: Machine, enclave: "Enclave", params: PiscesBootParams
     ) -> None:
-        self.machine = machine
-        self.enclave = enclave
-        self.params = params
-        self.memmap = GuestMemoryMap()
-        for region in params.regions:
-            self.memmap.add_region(region)
-        self.online_cores: list[int] = [params.core_ids[0]]
-        self.console: list[str] = []
-        self.running = True
-        self.buggy_cleanup = False
-        self.hobbes_client: Any = None
+        super().__init__(machine, enclave, params)
         self._next_fid = 1
         self.fibers: dict[int, Fiber] = {}
         self._run_queues: dict[int, deque[Fiber]] = {params.core_ids[0]: deque()}
-        self._irq_handlers: dict[int, Callable[[int, Interrupt], None]] = {}
-        self.irq_log: dict[int, list[Interrupt]] = {c: [] for c in params.core_ids}
         first = params.regions[0]
         self._alloc_cursor = first.start + KERNEL_RESERVED_BYTES
         self._alloc_region_idx = 0
-        self._configure_core(params.core_ids[0])
-
-    # -- boot (same surface as Kitten) ---------------------------------
-
-    @classmethod
-    def boot(cls, machine: Machine, enclave: "Enclave") -> "NautilusKernel":
-        assert enclave.boot_params is not None
-        params = PiscesBootParams.read_from(
-            machine.memory, enclave.boot_params.address
-        )
-        params.address = enclave.boot_params.address
-        kernel = cls(machine, enclave, params)
-        kernel.console.append(
-            f"Nautilus aerokernel booting: enclave {params.enclave_id}, "
-            f"{len(params.core_ids)} cores, timer masked"
-        )
-        return kernel
-
-    def _configure_core(self, core_id: int) -> None:
-        from repro.hw.cpu import CpuMode
-
-        core = self.machine.core(core_id)
-        assert core.apic is not None
-        # The aerokernel masks the timer entirely: scheduling is
-        # cooperative, so there is *zero* periodic noise.
-        core.apic.configure_timer(None)
-        if core.mode is not CpuMode.GUEST:
-            core.apic.delivery_hook = lambda irq, c=core_id: self.inject_interrupt(
-                c, irq
-            )
 
     def join_secondary_core(self, core_id: int) -> None:
-        if core_id in self.online_cores:
-            raise ValueError(f"core {core_id} already online")
-        self.online_cores.append(core_id)
+        super().join_secondary_core(core_id)
         self._run_queues[core_id] = deque()
-        self.irq_log.setdefault(core_id, [])
-        self._configure_core(core_id)
 
     def shutdown(self) -> None:
-        self.running = False
+        super().shutdown()
         for fiber in self.fibers.values():
             if fiber.state is not FiberState.DONE:
                 fiber.state = FiberState.DONE
-
-    # -- interrupts ------------------------------------------------------
-
-    def register_irq_handler(
-        self, vector: int, handler: Callable[[int, Interrupt], None], desc: str = ""
-    ) -> None:
-        self._irq_handlers[vector] = handler
-
-    def inject_interrupt(self, core_id: int, interrupt: Interrupt) -> None:
-        if not self.running:
-            return
-        self.irq_log.setdefault(core_id, []).append(interrupt)
-        handler = self._irq_handlers.get(interrupt.vector)
-        if handler is not None:
-            handler(core_id, interrupt)
-        apic = self.machine.core(core_id).apic
-        if apic is not None and interrupt.kind is not InterruptKind.NMI:
-            apic.ack(interrupt.vector)
 
     # -- memory ------------------------------------------------------------
 
@@ -164,38 +113,6 @@ class NautilusKernel:
             if self._alloc_region_idx < len(regions):
                 self._alloc_cursor = regions[self._alloc_region_idx].start
         raise MemoryError(f"nautilus: cannot allocate {size:#x} bytes")
-
-    def memory_hotplug_add(self, region: MemoryRegion) -> None:
-        self.memmap.add_region(region)
-        self.params.regions.append(region)
-
-    def memory_hotplug_remove(self, region: MemoryRegion) -> bool:
-        if region in self.params.regions:
-            self.params.regions.remove(region)
-        if not self.buggy_cleanup:
-            self.memmap.remove_region(region)
-        return True
-
-    def map_shared(self, region: MemoryRegion) -> None:
-        """XEMEM attachment (the aerokernel has one flat mapping)."""
-        self.memmap.add_region(region)
-
-    def unmap_shared(self, region: MemoryRegion) -> None:
-        self.memmap.remove_region(region)
-
-    def touch(
-        self, core_id: int, addr: int, length: int = 8, *, write: bool = False
-    ) -> bytes | None:
-        """Kernel-mode access, checked against the aerokernel's own map
-        then issued through the enclave port (identical discipline to
-        Kitten — the port neither knows nor cares which kernel calls)."""
-        if not self.memmap.contains(addr, length):
-            raise MemoryError(f"nautilus: {addr:#x} not in memory map")
-        assert self.enclave.port is not None
-        if write:
-            self.enclave.port.write(core_id, addr, b"\xaa" * length)
-            return None
-        return self.enclave.port.read(core_id, addr, length)
 
     # -- fibers ------------------------------------------------------------
 

@@ -168,6 +168,13 @@ class FlightRecorder:
     def __len__(self) -> int:
         return len(self._ring)
 
+    @property
+    def captured(self) -> int:
+        """Post-mortems frozen since the last :meth:`clear`;
+        :attr:`postmortems` retains only the newest
+        ``MAX_RETAINED_POSTMORTEMS`` of them."""
+        return self._seq
+
     def clear(self) -> None:
         """Forget ring contents and retained bundles (providers stay)."""
         self._ring.clear()

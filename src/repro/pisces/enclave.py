@@ -27,8 +27,8 @@ from repro.pisces.bootparams import PiscesBootParams
 from repro.pisces.resources import ResourceAssignment, ResourceSpec
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.kitten.kernel import KittenKernel
     from repro.linuxhost.host import LinuxHost
+    from repro.pisces.guest import GuestKernel
 
 
 class EnclaveState(enum.Enum):
@@ -91,7 +91,7 @@ class Enclave:
     assignment: ResourceAssignment
     state: EnclaveState = EnclaveState.CREATED
     boot_params: PiscesBootParams | None = None
-    kernel: "KittenKernel | None" = None
+    kernel: "GuestKernel | None" = None
     #: The execution port all enclave software uses; native by default,
     #: swapped by Covirt at boot interposition time.
     port: AccessPort | None = None

@@ -9,13 +9,17 @@ This is the integration surface Covirt piggy-backs on (Section IV-C):
   into the CPU boot path;
 * :meth:`PiscesKmod.ioctl` is the kernel ABI, to which Covirt registers
   a new command range.
+
+:class:`CoKernelFramework` owns that surface and the partition
+lifecycle behind it (carve-out, boot, halt, reclaim) once, for Pisces
+and for the IHK and mOS frameworks alike.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 from repro.hw.machine import Machine
 from repro.hw.memory import MemoryRegion, page_align_up
@@ -82,16 +86,27 @@ class ControlHooks:
             hook(*args)
 
 
-class PiscesKmod:
-    """The Pisces kernel module loaded into the host Linux OS."""
+class CoKernelFramework:
+    """The partition lifecycle every co-kernel framework shares.
 
-    MODULE_NAME = "pisces"
+    Pisces, IHK and mOS each carve cores and memory out of Linux, boot a
+    co-kernel on them, halt it on a fault and hand the resources back;
+    they differ in their verbs, ids and errors.  This base owns the
+    shared part and the surface Covirt interposes on (``hooks``,
+    ``boot_protocol``, :meth:`register_ioctl`).  A framework sets
+    :attr:`MODULE_NAME` and :attr:`ERROR`, allocates its own ids, and
+    adds its wiring in :meth:`_wire`.
+    """
+
+    MODULE_NAME: ClassVar[str]
+    #: The framework's error type, raised for every failure it reports.
+    ERROR: ClassVar[type[Exception]]
 
     def __init__(self, machine: Machine, host: LinuxHost) -> None:
         self.machine = machine
         self.host = host
+        #: Live and failed partitions, by enclave id.
         self.enclaves: dict[int, Enclave] = {}
-        self._next_id = 1
         self.hooks = ControlHooks()
         self.boot_protocol: BootProtocol = NativeBootProtocol(machine)
         self._ioctl_extensions: dict[int, Callable[[Any], Any]] = {}
@@ -102,10 +117,143 @@ class PiscesKmod:
     def register_ioctl(self, cmd: int, handler: Callable[[Any], Any]) -> None:
         """Extend the ABI (Covirt adds its command range here)."""
         if cmd < COVIRT_IOCTL_BASE:
-            raise PiscesError(f"extension ioctl {cmd} collides with base range")
+            raise self.ERROR(f"extension ioctl {cmd} collides with base range")
         if cmd in self._ioctl_extensions:
-            raise PiscesError(f"ioctl {cmd} already registered")
+            raise self.ERROR(f"ioctl {cmd} already registered")
         self._ioctl_extensions[cmd] = handler
+
+    def ioctl(self, cmd: int, arg: Any = None) -> Any:
+        """Dispatch an extension command; a framework with base commands
+        handles those first."""
+        handler = self._ioctl_extensions.get(cmd)
+        if handler is None:
+            raise self.ERROR(f"unknown ioctl command {cmd}")
+        return handler(arg)
+
+    # -- lifecycle -----------------------------------------------------
+
+    def enclave(self, enclave_id: int) -> Enclave:
+        try:
+            return self.enclaves[enclave_id]
+        except KeyError:
+            raise self.ERROR(f"no enclave {enclave_id}") from None
+
+    def _create(self, enclave_id: int, spec: ResourceSpec) -> Enclave:
+        """Partition the spec's cores and memory out of the host.
+
+        Zones asking for no memory are skipped.  If any zone comes up
+        short, everything taken so far goes back to the host first.
+        """
+        owner = enclave_owner(enclave_id)
+        assignment = ResourceAssignment()
+        taken_regions: list[MemoryRegion] = []
+        try:
+            for zone_id, ncores in sorted(spec.cores_per_zone.items()):
+                zone_cores = [
+                    c.core_id
+                    for c in self.machine.cores_in_zone(zone_id)
+                    if self.host.can_offline(c.core_id)
+                ]
+                if len(zone_cores) < ncores:
+                    raise self.ERROR(
+                        f"zone {zone_id} has {len(zone_cores)} free cores,"
+                        f" need {ncores}"
+                    )
+                chosen = zone_cores[:ncores]
+                self.host.offline_cores(chosen)
+                assignment.core_ids += chosen
+            for zone_id, size in sorted(spec.mem_per_zone.items()):
+                if size == 0:
+                    continue
+                region = self.host.offline_memory(page_align_up(size), zone_id)
+                taken_regions.append(region)
+                self.machine.memory.transfer(region, OFFLINE_OWNER, owner)
+                assignment.add_region(region)
+        except Exception:
+            # Roll back partial partitioning.
+            for region in taken_regions:
+                if self.machine.memory.region_owner(region) == owner:
+                    self.machine.memory.transfer(region, owner, OFFLINE_OWNER)
+                self.host.online_memory_return(region)
+            if assignment.core_ids:
+                self.host.online_cores_return(assignment.core_ids)
+            raise
+        enclave = Enclave(enclave_id, spec.name, spec, assignment)
+        enclave.port = NativeAccessPort(self.machine, enclave, self.host)
+        self.enclaves[enclave_id] = enclave
+        return enclave
+
+    def _boot(self, enclave: Enclave) -> Enclave:
+        """Write boot params and bring every assigned core up."""
+        enclave.state = EnclaveState.BOOTING
+        params = PiscesBootParams(
+            enclave_id=enclave.enclave_id,
+            core_ids=list(enclave.assignment.core_ids),
+            regions=list(enclave.assignment.regions),
+        )
+        params.write_to(self.machine.memory, boot_params_address_for(enclave))
+        enclave.boot_params = params
+        ControlHooks._fire(self.hooks.pre_boot, enclave)
+        bsp, *aps = enclave.assignment.core_ids
+        self.boot_protocol.boot_core(enclave, bsp, is_bsp=True)
+        for core_id in aps:
+            self.boot_protocol.boot_core(enclave, core_id, is_bsp=False)
+        enclave.state = EnclaveState.RUNNING
+        self._wire(enclave)
+        ControlHooks._fire(self.hooks.post_boot, enclave)
+        return enclave
+
+    def _wire(self, enclave: Enclave) -> None:
+        """Framework-specific wiring of a booted kernel, before
+        ``post_boot`` fires."""
+
+    def _halt_cores(self, enclave: Enclave) -> None:
+        for core_id in enclave.assignment.core_ids:
+            self.machine.core(core_id).halt()
+
+    def _shut_down(self, enclave: Enclave) -> None:
+        """Orderly stop of a running partition's kernel and cores."""
+        if enclave.state is EnclaveState.RUNNING:
+            assert enclave.kernel is not None
+            enclave.kernel.shutdown()
+            self._halt_cores(enclave)
+
+    def terminate_enclave(self, enclave_id: int, fault: FaultRecord) -> bool:
+        """Fault-path termination (invoked via Covirt).
+
+        Parks the partition's cores and records the fault; returns False
+        if it was already stopped.
+        """
+        enclave = self.enclave(enclave_id)
+        if enclave.state in (EnclaveState.DESTROYED, EnclaveState.FAILED):
+            return False
+        enclave.state = EnclaveState.FAILED
+        enclave.fault = fault
+        self._halt_cores(enclave)
+        return True
+
+    def _reclaim(self, enclave: Enclave) -> None:
+        """Return a stopped partition's resources to the host."""
+        ControlHooks._fire(self.hooks.on_teardown, enclave)
+        for region in list(enclave.assignment.regions):
+            self.machine.memory.transfer(region, enclave.owner_label, OFFLINE_OWNER)
+            self.host.online_memory_return(region)
+            enclave.assignment.remove_region(region)
+        self.host.online_cores_return(list(enclave.assignment.core_ids))
+        enclave.assignment.core_ids.clear()
+
+
+class PiscesKmod(CoKernelFramework):
+    """The Pisces kernel module loaded into the host Linux OS."""
+
+    MODULE_NAME = "pisces"
+    ERROR = PiscesError
+
+    def __init__(self, machine: Machine, host: LinuxHost) -> None:
+        super().__init__(machine, host)
+        self._next_id = 1
+
+    # -- ioctl ABI ---------------------------------------------------------
 
     def ioctl(self, cmd: int, arg: Any = None) -> Any:
         """Dispatch a command exactly as the character device would."""
@@ -123,89 +271,26 @@ class PiscesKmod:
             return self.remove_memory(enclave_id, region)
         if cmd == PiscesIoctl.ENCLAVE_STATUS:
             return self.enclave(arg).state
-        handler = self._ioctl_extensions.get(cmd)
-        if handler is None:
-            raise PiscesError(f"unknown ioctl command {cmd}")
-        return handler(arg)
+        return super().ioctl(cmd, arg)
 
     # -- lifecycle -----------------------------------------------------
 
-    def enclave(self, enclave_id: int) -> Enclave:
-        try:
-            return self.enclaves[enclave_id]
-        except KeyError:
-            raise PiscesError(f"no enclave {enclave_id}") from None
-
     def create_enclave(self, spec: ResourceSpec) -> Enclave:
-        """Partition resources out of the host and create an enclave."""
+        """Partition resources out of the host and create an enclave.
+        The id is consumed even when partitioning fails."""
         enclave_id = self._next_id
         self._next_id += 1
-        assignment = ResourceAssignment()
-        offlined_cores: list[int] = []
-        offlined_regions: list[MemoryRegion] = []
-        try:
-            for zone_id, ncores in sorted(spec.cores_per_zone.items()):
-                zone_cores = [
-                    c.core_id
-                    for c in self.machine.cores_in_zone(zone_id)
-                    if self.host.can_offline(c.core_id)
-                ]
-                if len(zone_cores) < ncores:
-                    raise PiscesError(
-                        f"zone {zone_id} has {len(zone_cores)} free cores,"
-                        f" need {ncores}"
-                    )
-                chosen = zone_cores[:ncores]
-                self.host.offline_cores(chosen)
-                offlined_cores += chosen
-                assignment.core_ids += chosen
-            for zone_id, size in sorted(spec.mem_per_zone.items()):
-                if size == 0:
-                    continue
-                region = self.host.offline_memory(page_align_up(size), zone_id)
-                offlined_regions.append(region)
-                self.machine.memory.transfer(
-                    region, OFFLINE_OWNER, enclave_owner(enclave_id)
-                )
-                assignment.add_region(region)
-        except Exception:
-            # Roll back partial partitioning.
-            for region in offlined_regions:
-                owner = self.machine.memory.region_owner(region)
-                if owner == enclave_owner(enclave_id):
-                    self.machine.memory.transfer(
-                        region, enclave_owner(enclave_id), OFFLINE_OWNER
-                    )
-                self.host.online_memory_return(region)
-            if offlined_cores:
-                self.host.online_cores_return(offlined_cores)
-            raise
-        enclave = Enclave(enclave_id, spec.name, spec, assignment)
-        enclave.port = NativeAccessPort(self.machine, enclave, self.host)
-        self.enclaves[enclave_id] = enclave
-        return enclave
+        return self._create(enclave_id, spec)
 
     def boot_enclave(self, enclave_id: int) -> Enclave:
         """Write boot params and bring every assigned core up."""
+        # Defined here rather than inherited: perfbench/layers.py traces
+        # ``PiscesKmod.boot_enclave`` by reading it from this class's
+        # __dict__.
         enclave = self.enclave(enclave_id)
         if enclave.state is not EnclaveState.CREATED:
             raise PiscesError(f"enclave {enclave_id} already booted")
-        enclave.state = EnclaveState.BOOTING
-        params = PiscesBootParams(
-            enclave_id=enclave.enclave_id,
-            core_ids=list(enclave.assignment.core_ids),
-            regions=list(enclave.assignment.regions),
-        )
-        params.write_to(self.machine.memory, boot_params_address_for(enclave))
-        enclave.boot_params = params
-        ControlHooks._fire(self.hooks.pre_boot, enclave)
-        bsp, *aps = enclave.assignment.core_ids
-        self.boot_protocol.boot_core(enclave, bsp, is_bsp=True)
-        for core_id in aps:
-            self.boot_protocol.boot_core(enclave, core_id, is_bsp=False)
-        enclave.state = EnclaveState.RUNNING
-        ControlHooks._fire(self.hooks.post_boot, enclave)
-        return enclave
+        return self._boot(enclave)
 
     # -- dynamic memory (the paths Covirt watches) -------------------------
 
@@ -250,35 +335,18 @@ class PiscesKmod:
 
     # -- teardown ------------------------------------------------------
 
-    def terminate_enclave(self, enclave_id: int, fault: FaultRecord) -> None:
-        """Fault-path termination (invoked via Covirt).
-
-        Parks the enclave's cores and records the fault; resource
-        reclamation is the master control process's job and happens via
-        :meth:`reclaim_enclave`.
-        """
-        enclave = self.enclave(enclave_id)
-        if enclave.state in (EnclaveState.DESTROYED, EnclaveState.FAILED):
-            return
-        enclave.state = EnclaveState.FAILED
-        enclave.fault = fault
-        for core_id in enclave.assignment.core_ids:
-            self.machine.core(core_id).halt()
-
     def reclaim_enclave(self, enclave_id: int) -> None:
-        """Return a dead enclave's resources to the host."""
+        """Return a dead enclave's resources to the host.
+
+        On the fault path :meth:`terminate_enclave` only parks the cores;
+        reclamation is the master control process's job and happens here.
+        """
         enclave = self.enclave(enclave_id)
         if enclave.state not in (EnclaveState.FAILED, EnclaveState.DESTROYED):
             raise PiscesError(
                 f"enclave {enclave_id} is {enclave.state.value}; stop it first"
             )
-        ControlHooks._fire(self.hooks.on_teardown, enclave)
-        for region in list(enclave.assignment.regions):
-            self.machine.memory.transfer(region, enclave.owner_label, OFFLINE_OWNER)
-            self.host.online_memory_return(region)
-            enclave.assignment.remove_region(region)
-        self.host.online_cores_return(list(enclave.assignment.core_ids))
-        enclave.assignment.core_ids.clear()
+        self._reclaim(enclave)
 
     def destroy_enclave(self, enclave_id: int) -> None:
         """Clean shutdown + reclaim, then forget the enclave.
@@ -288,11 +356,7 @@ class PiscesKmod:
         stay registered: recovery, the oracles and post-mortems read them.
         """
         enclave = self.enclave(enclave_id)
-        if enclave.state is EnclaveState.RUNNING:
-            assert enclave.kernel is not None
-            enclave.kernel.shutdown()
-            for core_id in enclave.assignment.core_ids:
-                self.machine.core(core_id).halt()
+        self._shut_down(enclave)
         enclave.state = EnclaveState.DESTROYED
         self.reclaim_enclave(enclave_id)
         del self.enclaves[enclave_id]

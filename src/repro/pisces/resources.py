@@ -24,8 +24,8 @@ class ResourceSpec:
     cores_per_zone: dict[int, int]
     mem_per_zone: dict[int, int]
     name: str = "enclave"
-    #: Which co-kernel OS/R boots in the enclave ("kitten" or
-    #: "nautilus"); Pisces can host arbitrary co-kernel architectures.
+    #: Which co-kernel OS/R boots in the enclave ("kitten", "nautilus",
+    #: "mckernel" or "mos-lwk"; see ``kernel_class_for``).
     kernel_type: str = "kitten"
 
     def __post_init__(self) -> None:

@@ -43,9 +43,10 @@ def kernel_class_for(enclave: "Enclave"):
     """Resolve the co-kernel class an enclave's spec asks for.
 
     Pisces is kernel-agnostic: any OS/R exposing the guest-kernel
-    surface (boot / memmap / hotplug / interrupt injection) can be
-    trampolined into an enclave — which is exactly what lets Covirt
-    protect Kitten and Nautilus alike without changes.
+    surface (:class:`repro.pisces.guest.GuestKernel`: boot / memmap /
+    hotplug / interrupt injection) can be trampolined into an enclave —
+    which is exactly what lets Covirt protect all four kernels alike
+    without changes.
     """
     kernel_type = enclave.spec.kernel_type
     if kernel_type == "kitten":

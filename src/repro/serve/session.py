@@ -294,7 +294,7 @@ class Session:
             "slices_run": self.slices_run,
             "enclaves": enclaves,
             "exits_by_reason": registry.exit_counts_by_reason(),
-            "postmortems": len(self.env.machine.obs.flight.postmortems),
+            "postmortems": self.env.machine.obs.flight.captured,
             "failure": self.engine.failure,
             # The engine's behavioural-transcript hash: lets clients
             # (and the cross-subsystem conformance tests) prove a served

@@ -432,7 +432,7 @@ def build_snapshot(daemon: "ServeDaemon") -> dict[str, Any]:
         rollup["sim_cycles"] += session.sim_cycles()
         rollup["slices_run"] += session.slices_run
         rollup["oracle_violations"] += 1 if session.engine.failure else 0
-        rollup["postmortems"] += len(obs.flight.postmortems)
+        rollup["postmortems"] += obs.flight.captured
         rollup["exits"] += sum(
             obs.metrics.exit_counts_by_reason().values()
         )

@@ -194,7 +194,7 @@ def run_cell(
         exits_by_reason=registry.exit_counts_by_reason(),
         failure=run.failure,
         active_grants=len(engine.env.mcp.vectors.active_grants()),
-        postmortems=len(engine.env.machine.obs.flight.postmortems),
+        postmortems=engine.env.machine.obs.flight.captured,
     )
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs import metric_names
+from repro.obs.flight import MAX_RETAINED_POSTMORTEMS
 from repro.obs.schema import validate_postmortem
 from repro.serve.protocol import E_INVALID_PARAMS, E_SESSION_PARKED, ServeError
 from repro.serve.session import (
@@ -103,6 +105,15 @@ class TestParking:
         count = len(session.env.machine.obs.flight.postmortems)
         session.park("again")  # no-op: already parked
         assert len(session.env.machine.obs.flight.postmortems) == count
+
+    def test_postmortem_count_is_not_capped_by_retention(self):
+        session = Session("s1", "alice", "hostile", 1)
+        for _ in range(128):
+            session.step(1)
+        flight = session.env.machine.obs.flight
+        captured = session.env.machine.obs.metrics.get(metric_names.POSTMORTEMS)
+        assert len(flight.postmortems) == MAX_RETAINED_POSTMORTEMS
+        assert session.inspect()["postmortems"] == captured.total() == 53
 
     def test_on_park_hook_fires_once(self):
         session = Session("s1", "alice", "baseline", 7)

@@ -52,6 +52,30 @@ class TestLifecycle:
             ihk.reserve({0: 99}, {0: GiB})
         assert env.host.is_pristine()
 
+    def test_zero_size_zone_is_skipped(self, env, ihk):
+        os_index = ihk.reserve({0: 1}, {0: GiB, 1: 0})
+        enclave = ihk.boot(os_index)
+        assert enclave.state is EnclaveState.RUNNING
+        assert [r.size for r in enclave.assignment.regions] == [GiB]
+        ihk.destroy(os_index)
+        assert env.host.is_pristine()
+
+    def test_failed_reserve_does_not_advance_the_index(self, env, ihk):
+        with pytest.raises(IhkError):
+            ihk.reserve({0: 99}, {0: GiB})
+        assert ihk.reserve({0: 1}, {0: GiB}) == 0
+
+    def test_extension_ioctls_start_at_the_covirt_base(self, env, ihk):
+        # 151 is IhkIoctl.BOOT: an extension there could never be reached.
+        with pytest.raises(IhkError):
+            ihk.register_ioctl(IhkIoctl.BOOT, lambda arg: arg)
+        with pytest.raises(IhkError):
+            ihk.register_ioctl(200, lambda arg: arg)  # Covirt's STATUS
+        ihk.register_ioctl(250, lambda arg: arg * 2)
+        assert ihk.ioctl(250, 21) == 42
+        with pytest.raises(IhkError):
+            ihk.ioctl(251)
+
     def test_ioctl_abi(self, env, ihk):
         os_index = ihk.ioctl(IhkIoctl.RESERVE, ({0: 1}, {0: GiB}))
         ihk.ioctl(IhkIoctl.BOOT, os_index)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.faults import EnclaveFaultError
 from repro.core.features import CovirtConfig
 from repro.harness.env import CovirtEnvironment
+from repro.hw.memory import OwnershipError
 from repro.kitten.syscalls import Syscall, SyscallError
 from repro.mos import MosError, MosLwk, MosStack
 from repro.pisces.enclave import EnclaveState
@@ -42,6 +43,24 @@ class TestDesignation:
         designate(env, mos)
         with pytest.raises(MosError):
             mos.designate({1: 1}, {1: GiB})
+
+    def test_short_core_zone_rolls_back(self, env, mos):
+        online = set(env.host.online_cores)
+        with pytest.raises(MosError):
+            mos.designate({0: 2, 1: 99}, {0: GiB})
+        assert env.host.online_cores == online
+        assert env.host.is_pristine()
+        assert mos.partition is None
+
+    def test_short_memory_zone_rolls_back(self, env, mos):
+        online = set(env.host.online_cores)
+        with pytest.raises(OwnershipError):
+            mos.designate({0: 1}, {0: GiB, 1: 1 << 50})
+        assert env.host.is_pristine()
+        assert env.host.online_cores == online
+        assert mos.partition is None
+        partition = designate(env, mos)
+        assert partition.state is EnclaveState.RUNNING
 
     def test_lwk_cores_are_tickless(self, env, mos):
         partition = designate(env, mos)
@@ -84,6 +103,14 @@ class TestEmbeddedSyscalls:
 
 
 class TestCovirtOnMos:
+    def test_extension_ioctls_start_at_the_covirt_base(self, env, mos):
+        with pytest.raises(MosError):
+            mos.register_ioctl(7, lambda arg: arg)
+        with pytest.raises(MosError):
+            mos.register_ioctl(203, lambda arg: arg)  # Covirt's DOSSIER
+        with pytest.raises(MosError):
+            mos.ioctl(7)
+
     def test_protected_designation(self, env, mos):
         partition = designate(env, mos, CovirtConfig.memory_only())
         status = mos.ioctl(200, partition.enclave_id)

@@ -7,7 +7,9 @@ from repro.core.features import CovirtConfig
 from repro.harness.env import CovirtEnvironment, Layout
 from repro.hw.machine import Machine, MachineConfig
 from repro.hw.memory import MemoryRegion, PAGE_SIZE
+from repro.ihk import IhkError, IhkModule
 from repro.linuxhost.host import LINUX_OWNER, LinuxHost
+from repro.mos import MosError, MosStack
 from repro.pisces.bootparams import BOOT_PARAMS_MAGIC, PiscesBootParams
 from repro.pisces.enclave import EnclaveDead, EnclaveState, FaultRecord
 from repro.pisces.kmod import PiscesError, PiscesIoctl, PiscesKmod
@@ -249,3 +251,20 @@ class TestIoctlAbi:
         kmod.register_ioctl(250, lambda arg: None)
         with pytest.raises(PiscesError):
             kmod.register_ioctl(250, lambda arg: None)
+
+    @pytest.mark.parametrize(
+        "framework, error",
+        [(None, PiscesError), (IhkModule, IhkError), (MosStack, MosError)],
+        ids=["pisces", "ihk", "mos"],
+    )
+    def test_covirt_range_registered_on_every_framework(self, framework, error):
+        env = CovirtEnvironment()
+        if framework is None:
+            target = env.mcp.kmod
+        else:
+            target = framework(env.machine, env.host)
+            env.controller.interpose_on(target)
+        for cmd in (200, 201, 202, 203):
+            with pytest.raises(error, match="already registered"):
+                target.register_ioctl(cmd, lambda arg: None)
+        assert target.ioctl(200, 12345) == {"protected": False}

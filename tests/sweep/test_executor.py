@@ -8,6 +8,9 @@ import json
 import pytest
 
 from repro.fuzz.pool import BATCH_SIZE, run_batched
+from repro.harness.env import CovirtEnvironment
+from repro.obs import metric_names
+from repro.obs.flight import MAX_RETAINED_POSTMORTEMS
 from repro.sweep import (
     SweepExecutor,
     SweepSpec,
@@ -15,6 +18,8 @@ from repro.sweep import (
     sweep_doc,
     write_artifacts,
 )
+from repro.sweep.runner import run_cell
+from repro.sweep.spec import ScenarioCell
 
 pytestmark = pytest.mark.sweep
 
@@ -115,3 +120,12 @@ class TestSharedBatchDriver:
         )
         assert stats.executed == 5
         assert len(folded) == 5
+
+
+class TestCellRun:
+    def test_postmortem_count_is_not_capped_by_retention(self):
+        env = CovirtEnvironment()
+        run = run_cell(ScenarioCell(schedule="hostile", steps=200), 1, env)
+        captured = env.machine.obs.metrics.get(metric_names.POSTMORTEMS)
+        assert len(env.machine.obs.flight.postmortems) == MAX_RETAINED_POSTMORTEMS
+        assert run.postmortems == captured.total() == 77
