@@ -34,16 +34,12 @@ try:
 except ImportError:  # pragma: no cover - direct invocation convenience
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.obs.schema import (
-    BENCH_SCHEMA_NAME,
-    BENCH_SCHEMA_VERSION,
-    validate_bench,
-)
+from repro.fuzz.rng import DEFAULT_SEED
+from repro.obs.bench import bench_header
+from repro.obs.schema import validate_bench
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeDaemon
 from repro.serve.registry import TenantQuota
-
-DEFAULT_SEED = 0xC0517
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -137,12 +133,10 @@ def run_bench(
     total_requests = len(latencies)
     rps = total_requests / wall if wall > 0 else 0.0
     return {
-        "schema": BENCH_SCHEMA_NAME,
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "bench": "serve",
-        "title": "covirt-serve request throughput and latency",
-        "quick": quick,
-        "seed": seed,
+        **bench_header(
+            "serve", "covirt-serve request throughput and latency",
+            quick=quick, seed=seed,
+        ),
         "sim_cycles": int(inspected["sim_cycles"]),
         "exits_by_reason": inspected["exits_by_reason"],
         "metrics": inspected["metrics"],

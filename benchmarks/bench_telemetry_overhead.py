@@ -49,19 +49,13 @@ try:
 except ImportError:  # pragma: no cover - direct invocation convenience
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.features import CovirtConfig
-from repro.harness.env import CovirtEnvironment, Layout
+from repro.fuzz.rng import DEFAULT_SEED
+from repro.harness.env import CovirtEnvironment
 from repro.hw.clock import Clock
 from repro.obs import MetricsRegistry, Observability
-from repro.obs.scenario import protection_probe
-from repro.obs.schema import (
-    BENCH_SCHEMA_NAME,
-    BENCH_SCHEMA_VERSION,
-    validate_bench,
-)
+from repro.obs.bench import build_bench_doc, run_probe
+from repro.obs.schema import validate_bench
 from repro.serve.telemetry import MAX_QUEUE_FRAMES, TelemetryHub
-
-DEFAULT_SEED = 0xC0517
 
 #: Ops per timed loop.  Sized so the ``subscribed`` mode's frame volume
 #: (2 frames per op, warmup included, + hello) stays inside one
@@ -167,32 +161,15 @@ def build_doc(quick: bool, seed: int = DEFAULT_SEED) -> dict[str, Any]:
     # A probe env supplies the simulator-side schema fields (exit
     # counts, populated histograms) every covirt-bench doc must carry.
     env = CovirtEnvironment()
-    enclave = env.launch(
-        Layout("probe-1c/1n", {0: 1}, {0: 256 << 20}),
-        CovirtConfig.full(),
-        name="probe",
+    run_probe(env)
+    return build_bench_doc(
+        env,
+        "telemetry",
+        "Telemetry-plane overhead: off / flight / subscribed",
+        quick=quick,
+        seed=seed,
+        results=rows,
     )
-    protection_probe(env, enclave)
-    env.teardown(enclave)
-    registry = env.machine.obs.metrics
-    return {
-        "schema": BENCH_SCHEMA_NAME,
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "bench": "telemetry",
-        "title": "Telemetry-plane overhead: off / flight / subscribed",
-        "quick": quick,
-        "seed": seed,
-        "sim_cycles": max(
-            env.machine.clock.now,
-            max(
-                env.machine.core(i).read_tsc()
-                for i in range(env.machine.num_cores)
-            ),
-        ),
-        "exits_by_reason": registry.exit_counts_by_reason(),
-        "metrics": registry.to_dict(),
-        "results": rows,
-    }
 
 
 def main(argv: list[str] | None = None) -> int:

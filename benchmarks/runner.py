@@ -42,25 +42,11 @@ from repro.harness import experiments as ex
 from repro.harness.env import CovirtEnvironment, Layout
 from repro.hw.clock import CYCLES_PER_US
 from repro.obs import metric_names
+from repro.obs.bench import build_bench_doc, run_probe
 from repro.obs.scenario import WILD_ADDR, protection_probe
-from repro.obs.schema import (
-    BENCH_SCHEMA_NAME,
-    BENCH_SCHEMA_VERSION,
-    validate_bench,
-)
+from repro.obs.schema import validate_bench
 
-MiB = 1 << 20
 GiB = 1 << 30
-
-#: Small fully-protected enclave every scenario probes once, so each
-#: artifact's ``exits_by_reason`` covers the whole protection surface.
-PROBE_LAYOUT = Layout("probe-1c/1n", {0: 1}, {0: 256 * MiB})
-
-
-def _probe(env: CovirtEnvironment) -> None:
-    enclave = env.launch(PROBE_LAYOUT, CovirtConfig.full(), name="probe")
-    protection_probe(env, enclave)
-    env.teardown(enclave)
 
 
 def _figure(*panels: Callable[..., list[dict[str, Any]]]) -> Callable:
@@ -71,7 +57,7 @@ def _figure(*panels: Callable[..., list[dict[str, Any]]]) -> Callable:
         rows = []
         for panel in panels:
             rows += panel(env, quick)
-        _probe(env)
+        run_probe(env)
         return rows
 
     return scenario
@@ -149,7 +135,7 @@ def bench_fuzz(env: CovirtEnvironment, quick: bool) -> list[dict[str, Any]]:
             # nightly farm uploads must actually reproduce.
             entry = distilled.kept[0]
             assert replay_run(entry).matches, "distilled entry diverged"
-    _probe(env)
+    run_probe(env)
     return rows
 
 
@@ -175,7 +161,7 @@ def bench_sweep(env: CovirtEnvironment, quick: bool) -> list[dict[str, Any]]:
         )
     cells = spec.cells()
     run_cell(cells[0], spec.seed_for(cells[0], 0), env=env)
-    _probe(env)
+    run_probe(env)
     return aggregate(result)
 
 
@@ -197,7 +183,7 @@ def bench_telemetry(env: CovirtEnvironment, quick: bool) -> list[dict[str, Any]]
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     rows = module.measure_rows(quick)
-    _probe(env)
+    run_probe(env)
     return rows
 
 
@@ -233,27 +219,9 @@ def run_scenario(
     title, fn = SCENARIOS[name]
     env = CovirtEnvironment() if costs is None else CovirtEnvironment(costs=costs)
     results = fn(env, quick)
-    registry = env.machine.obs.metrics
-    return {
-        "schema": BENCH_SCHEMA_NAME,
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "bench": name,
-        "title": title,
-        "quick": quick,
-        "seed": seed,
-        # Cores run ahead of the global clock while executing workloads;
-        # the furthest TSC is the scenario's true extent of simulated time.
-        "sim_cycles": max(
-            env.machine.clock.now,
-            max(
-                env.machine.core(i).read_tsc()
-                for i in range(env.machine.num_cores)
-            ),
-        ),
-        "exits_by_reason": registry.exit_counts_by_reason(),
-        "metrics": registry.to_dict(),
-        "results": results,
-    }
+    return build_bench_doc(
+        env, name, title, quick=quick, seed=seed, results=results
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

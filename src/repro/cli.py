@@ -1,17 +1,23 @@
-"""Command-line interface: ``python -m repro <experiment>``.
+"""Command-line interface: ``python -m repro <command>``.
 
 Gives every table, figure, and ablation a shell-invokable entry point,
-plus a fault-demo command that prints a Covirt crash dossier.
+plus the demos, the observability tools, the fuzz family and the
+serving daemon.  Each subcommand is registered once, by
+:func:`command`: its arguments together with its ``(args) -> int``
+handler.  :func:`main` parses once and calls the handler.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
+from typing import Any, Callable
 
+from repro.fuzz.rng import DEFAULT_SEED
 from repro.harness import experiments as ex
 from repro.harness.env import CovirtEnvironment
+from repro.serve import daemon as serve_daemon
+from repro.serve.top import run_top
 
 
 def _figure(
@@ -50,7 +56,81 @@ EXPERIMENTS: dict[str, Callable[[], "ex.ExperimentResult"]] = {
 }
 
 
-def run_experiments(names: list[str], json_dir: str | None = None) -> int:
+# -- the subcommand table ---------------------------------------------
+
+#: Adds one argument (or a group of them) to a subcommand's parser.
+Argument = Callable[[argparse.ArgumentParser], Any]
+Handler = Callable[[argparse.Namespace], int]
+
+PARSER = argparse.ArgumentParser(
+    prog="repro",
+    description="Covirt reproduction: regenerate the paper's evaluation.",
+)
+_subparsers = PARSER.add_subparsers(dest="command", required=True)
+#: Every subcommand's parser, by name, in ``--help`` order.
+COMMANDS: dict[str, argparse.ArgumentParser] = _subparsers.choices
+
+# Exit-code contract for the fuzz family (fuzz / replay / shrink /
+# distill / sweep), pinned by tests/fuzz/test_cli_exitcodes.py:
+#   0 — clean: no finding, no divergence;
+#   1 — a *finding*: an oracle violation or unexpected exception was
+#       (re)produced, or a corpus replay diverged;
+#   2 — internal error: bad arguments, unreadable/incompatible corpus
+#       entries, or a crash in the tool itself (applied in :func:`main`).
+FUZZ_EXIT_HELP = (
+    "exit status: 0 clean, 1 finding (oracle violation, unexpected "
+    "exception, or replay divergence), 2 internal error"
+)
+
+
+def command(
+    name: str,
+    summary: str,
+    *arguments: Argument,
+    fuzz_family: bool = False,
+    **parser_kwargs: Any,
+) -> Callable[[Handler], Handler]:
+    """Register subcommand ``name`` with the given arguments (see
+    :func:`arg`) and the decorated function as its handler."""
+    if fuzz_family:
+        parser_kwargs["epilog"] = FUZZ_EXIT_HELP
+    parser = _subparsers.add_parser(name, help=summary, **parser_kwargs)
+    for add in arguments:
+        add(parser)
+
+    def register(handler: Handler) -> Handler:
+        parser.set_defaults(handler=handler, fuzz_family=fuzz_family)
+        return handler
+
+    return register
+
+
+def arg(*flags: str, **kwargs: Any) -> Argument:
+    """One ``add_argument`` call, deferred to :func:`command`."""
+    return lambda parser: parser.add_argument(*flags, **kwargs)
+
+
+#: ``--seed`` of every command that runs a seeded scenario.
+SEED = arg("--seed", type=int, default=DEFAULT_SEED)
+
+
+# -- paper experiments and demos --------------------------------------
+
+
+@command(
+    "run",
+    "run one or more experiments",
+    arg(
+        "experiments", nargs="+", metavar="EXPERIMENT",
+        help=f"one of: {', '.join(sorted(EXPERIMENTS))}, or 'all'",
+    ),
+    arg(
+        "--json", metavar="DIR", default=None,
+        help="also write machine-readable results to DIR/<experiment>.json",
+    ),
+)
+def run_experiments(args: argparse.Namespace) -> int:
+    names = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
     for name in names:
         driver = EXPERIMENTS.get(name)
         if driver is None:
@@ -59,14 +139,22 @@ def run_experiments(names: list[str], json_dir: str | None = None) -> int:
             return 2
         result = driver()
         print(result.render())
-        if json_dir is not None:
-            path = result.save(json_dir, name)
+        if args.json is not None:
+            path = result.save(args.json, name)
             print(f"[wrote {path}]")
         print()
     return 0
 
 
-def run_fault_demo() -> int:
+@command("list", "list available experiments")
+def list_experiments(args: argparse.Namespace) -> int:
+    for name in sorted(EXPERIMENTS):
+        print(f"  {name:22s} {EXPERIMENTS[name].__doc__.splitlines()[0]}")
+    return 0
+
+
+@command("fault-demo", "crash an enclave, print its dossier")
+def run_fault_demo(args: argparse.Namespace) -> int:
     """Crash a protected enclave and print its dossier."""
     from repro.core.debug import containment_bundle, render_dossier
     from repro.core.faults import EnclaveFaultError
@@ -94,7 +182,12 @@ def run_fault_demo() -> int:
     return 0
 
 
-def run_recovery_demo() -> int:
+@command(
+    "recovery-demo",
+    "inject the terminating fault gallery under supervision, "
+    "print per-fault-class MTTR",
+)
+def run_recovery_demo(args: argparse.Namespace) -> int:
     """Inject every terminating Section-V fault class into supervised
     enclaves under restart-with-backoff and print per-class MTTR."""
     from repro.core.commands import CommandType
@@ -206,6 +299,21 @@ def run_recovery_demo() -> int:
     return 1 if failures else 0
 
 
+
+
+@command("verify", "check every paper shape claim against its band")
+def run_verify(args: argparse.Namespace) -> int:
+    from repro.harness.verify import run_verification
+
+    report, ok = run_verification()
+    print(report)
+    print("\nALL CLAIMS REPRODUCED" if ok else "\nSOME CLAIMS OUT OF BAND")
+    return 0 if ok else 1
+
+
+# -- observability ----------------------------------------------------
+
+
 def _prepare_postmortem_dir(path: str) -> str | None:
     """Make ``--postmortem-dir`` usable before the scenario runs: create
     it (parents included) if missing and prove it is writable with a
@@ -225,7 +333,24 @@ def _prepare_postmortem_dir(path: str) -> str | None:
     return None
 
 
-def run_trace_export(args) -> int:
+@command(
+    "trace-export",
+    "run the canonical demo scenario, export spans as "
+    "Chrome-trace/Perfetto JSON (see docs/observability.md)",
+    SEED,
+    arg("--out", metavar="FILE", default="trace.json", help="output path"),
+    arg(
+        "--golden", action="store_true",
+        help="print the timestamp-free golden transcript instead of "
+        "writing a trace file",
+    ),
+    arg(
+        "--postmortem-dir", metavar="DIR", default=None,
+        help="write the run's post-mortem bundles (the containment fault"
+        " produces one) into DIR as sorted-key JSON",
+    ),
+)
+def run_trace_export(args: argparse.Namespace) -> int:
     """Run the canonical demo scenario and export its span stream as
     Chrome-trace JSON (loads in Perfetto / chrome://tracing)."""
     from repro.obs import validate_chrome_trace, write_chrome_trace
@@ -261,9 +386,32 @@ def run_trace_export(args) -> int:
     return 0
 
 
-def run_trace_analyze(args) -> int:
+@command(
+    "trace-analyze",
+    "critical paths, exit-latency attribution, and rollups for "
+    "an exported trace; --diff compares two traces structurally",
+    arg("trace", help="Chrome-trace JSON (trace-export) or golden transcript"),
+    arg(
+        "--diff", metavar="TRACE", default=None,
+        help="second trace: report added/removed/retimed span paths",
+    ),
+    arg(
+        "--threshold", type=float, default=0.05,
+        help="relative retiming threshold for --diff (default 0.05)",
+    ),
+    arg(
+        "--top-k", type=int, default=10,
+        help="rows in the exit-attribution table (default 10)",
+    ),
+    arg(
+        "--fail-on-diff", action="store_true",
+        help="exit 1 when --diff finds any structural difference",
+    ),
+)
+def run_trace_analyze(args: argparse.Namespace) -> int:
     """Analyze an exported trace: critical paths, exit attribution,
-    rollups — or a structural diff between two traces."""
+    rollups — or a structural diff between two traces.  An unreadable
+    trace exits 2: 1 means ``--fail-on-diff`` found a difference."""
     from repro.obs.analyze import (
         diff_traces,
         load_trace,
@@ -271,10 +419,18 @@ def run_trace_analyze(args) -> int:
         render_report,
     )
 
-    model = load_trace(args.trace)
+    models = {}
+    for path in (args.trace, args.diff):
+        if path is None:
+            continue
+        try:
+            models[path] = load_trace(path)
+        except (OSError, ValueError) as exc:
+            print(f"trace-analyze: unreadable {path}: {exc}", file=sys.stderr)
+            return 2
+    model = models[args.trace]
     if args.diff is not None:
-        other = load_trace(args.diff)
-        diff = diff_traces(model, other, threshold=args.threshold)
+        diff = diff_traces(model, models[args.diff], threshold=args.threshold)
         print(
             render_diff(diff, source_a=args.trace, source_b=args.diff),
             end="",
@@ -284,35 +440,33 @@ def run_trace_analyze(args) -> int:
     return 0
 
 
-def bench_compare_main(argv: list[str] | None = None) -> int:
-    """The ``bench-compare`` entry point (also used by
-    ``benchmarks/sentinel.py``): compare two BENCH_*.json sets against
-    the tolerance bands; exit 1 on regression."""
-    import argparse as _argparse
+@command(
+    "bench-compare",
+    "compare two BENCH_*.json sets against tolerance bands "
+    "(benchmarks/tolerances.json); exit 1 on regression",
+    arg("baseline", help="directory with baseline BENCH_*.json"),
+    arg("candidate", help="directory with candidate BENCH_*.json"),
+    arg(
+        "--tolerances", default="benchmarks/tolerances.json",
+        help="tolerance-band config (default: benchmarks/tolerances.json)",
+    ),
+    arg(
+        "--out", metavar="FILE", default=None,
+        help="also write the markdown report to FILE",
+    ),
+    description="Compare two BENCH_*.json sets against tolerance bands.",
+)
+def run_bench_compare(args: argparse.Namespace) -> int:
+    """Compare two BENCH_*.json sets against the tolerance bands; exit
+    1 on regression, 2 on a bad tolerance config."""
+    from pathlib import Path
 
     from repro.obs.sentinel import (
-        ToleranceError,
         compare_sets,
         load_tolerances,
         render_markdown,
     )
 
-    parser = _argparse.ArgumentParser(
-        prog="bench-compare",
-        description="Compare two BENCH_*.json sets against tolerance bands.",
-    )
-    parser.add_argument("baseline", help="directory with baseline BENCH_*.json")
-    parser.add_argument("candidate", help="directory with candidate BENCH_*.json")
-    parser.add_argument(
-        "--tolerances",
-        default="benchmarks/tolerances.json",
-        help="tolerance-band config (default: benchmarks/tolerances.json)",
-    )
-    parser.add_argument(
-        "--out", metavar="FILE", default=None,
-        help="also write the markdown report to FILE",
-    )
-    args = parser.parse_args(argv)
     try:
         tolerances = load_tolerances(args.tolerances)
     except (OSError, ValueError) as exc:
@@ -323,14 +477,22 @@ def bench_compare_main(argv: list[str] | None = None) -> int:
         report, baseline_label=args.baseline, candidate_label=args.candidate
     )
     if args.out is not None:
-        from pathlib import Path
-
         Path(args.out).write_text(rendered)
     print(rendered, end="")
     return 0 if report.ok else 1
 
 
-def run_metrics_dump(args) -> int:
+@command(
+    "metrics-dump",
+    "run the canonical demo scenario, dump the metrics registry",
+    SEED,
+    arg("--json", action="store_true", help="JSON instead of text"),
+    arg(
+        "--prom", action="store_true",
+        help="Prometheus text exposition (v0.0.4) instead of text",
+    ),
+)
+def run_metrics_dump(args: argparse.Namespace) -> int:
     """Run the canonical demo scenario and dump its metrics registry."""
     import json
 
@@ -351,8 +513,17 @@ def run_metrics_dump(args) -> int:
     return 0
 
 
-def run_bench_validate(args) -> int:
+@command(
+    "bench-validate",
+    "validate BENCH_*.json files against the covirt-bench schema",
+    arg(
+        "paths", nargs="*", metavar="PATH",
+        help="files or globs (default: BENCH_*.json in the CWD)",
+    ),
+)
+def run_bench_validate(args: argparse.Namespace) -> int:
     """Validate BENCH_*.json files against the covirt-bench schema."""
+    import glob
     import json
     from pathlib import Path
 
@@ -361,7 +532,8 @@ def run_bench_validate(args) -> int:
     paths = sorted(
         Path(p) for pattern in (args.paths or ["BENCH_*.json"])
         for p in (
-            [pattern] if Path(pattern).is_file() else Path(".").glob(pattern)
+            [pattern] if Path(pattern).is_file()
+            else glob.glob(pattern, recursive=True)
         )
     )
     if not paths:
@@ -387,28 +559,10 @@ def run_bench_validate(args) -> int:
     return 1 if bad else 0
 
 
-# Exit-code contract for the fuzz family (fuzz / replay / shrink /
-# distill / sweep), pinned by tests/fuzz/test_cli_exitcodes.py:
-#   0 — clean: no finding, no divergence;
-#   1 — a *finding*: an oracle violation or unexpected exception was
-#       (re)produced, or a corpus replay diverged;
-#   2 — internal error: bad arguments, unreadable/incompatible corpus
-#       entries, or a crash in the tool itself.
-FUZZ_EXIT_HELP = (
-    "exit status: 0 clean, 1 finding (oracle violation, unexpected "
-    "exception, or replay divergence), 2 internal error"
-)
+# -- the fuzz family --------------------------------------------------
 
 
-def _fuzz_internal_error(tool: str, exc: Exception) -> int:
-    import traceback
-
-    traceback.print_exc()
-    print(f"{tool}: internal error: {exc}", file=sys.stderr)
-    return 2
-
-
-def _run_fuzz_single(args) -> int:
+def _run_fuzz_single(args: argparse.Namespace) -> int:
     """One seeded run: print the transcript and verdict."""
     from repro.fuzz import FuzzEngine, SCHEDULES, save_run, shrink_run
 
@@ -438,7 +592,7 @@ def _run_fuzz_single(args) -> int:
     return 1 if run.failure is not None else 0
 
 
-def _run_fuzz_campaign(args) -> int:
+def _run_fuzz_campaign(args: argparse.Namespace) -> int:
     """Coverage-guided (or pure-random) parallel campaign."""
     from repro.fuzz import FuzzCampaign, save_campaign
 
@@ -485,90 +639,92 @@ def _run_fuzz_campaign(args) -> int:
     return 1 if result.findings else 0
 
 
-def run_fuzz(args) -> int:
+@command(
+    "fuzz",
+    "seeded deterministic fault-injection fuzzing; --budget/"
+    "--continuous runs a coverage-guided parallel campaign "
+    "(see docs/fuzzing.md)",
+    SEED,
+    arg(
+        "--steps", type=int, default=None,
+        help="actions per run (default: 200 single-run, 60 in a campaign)",
+    ),
+    arg(
+        "--schedule", default="baseline",
+        help="single-run action-mix weight table: baseline, hostile, "
+        "churn, recovery",
+    ),
+    arg(
+        "--save", metavar="DIR", default=None,
+        help="single-run mode: serialize the run to DIR",
+    ),
+    arg(
+        "--shrink-on-failure", action="store_true",
+        help="minimize failing sequences (ddmin) before exiting",
+    ),
+    arg(
+        "--budget", type=int, default=None, metavar="N",
+        help="campaign mode: execute exactly N runs (deterministic in "
+        "--seed regardless of --workers)",
+    ),
+    arg(
+        "--workers", type=int, default=1, metavar="K",
+        help="campaign mode: multiprocessing workers (default 1)",
+    ),
+    arg(
+        "--schedules", default=None, metavar="A,B,...",
+        help="campaign mode: comma-separated schedule rotation "
+        "(default: all four)",
+    ),
+    arg(
+        "--random", action="store_true",
+        help="campaign mode: disable coverage guidance (pure-random "
+        "baseline; fresh seeds only, no mutation)",
+    ),
+    arg(
+        "--continuous", action="store_true",
+        help="campaign mode: keep fuzzing until --max-seconds elapses "
+        "(the nightly bug-mining farm)",
+    ),
+    arg(
+        "--max-seconds", type=float, default=300.0, metavar="S",
+        help="wall-clock bound for --continuous (default 300)",
+    ),
+    arg(
+        "--out", metavar="DIR", default=None,
+        help="campaign mode: write distilled corpus, findings, "
+        "coverage.json, summary.json under DIR",
+    ),
+    arg(
+        "--quiet", action="store_true",
+        help="campaign mode: suppress per-batch progress lines",
+    ),
+    fuzz_family=True,
+)
+def run_fuzz(args: argparse.Namespace) -> int:
     """Fuzz entry point: a single transcripted run by default, a
     parallel coverage-guided campaign with ``--budget``/``--continuous``."""
-    try:
-        if args.budget is not None or args.continuous:
-            return _run_fuzz_campaign(args)
-        return _run_fuzz_single(args)
-    except Exception as exc:
-        return _fuzz_internal_error("fuzz", exc)
+    if args.budget is not None or args.continuous:
+        return _run_fuzz_campaign(args)
+    return _run_fuzz_single(args)
 
 
-def run_replay(args) -> int:
-    """Re-execute recorded corpus runs; fail on any divergence."""
-    from pathlib import Path
-
-    from repro.fuzz import load_corpus, replay_run
-    from repro.fuzz.corpus import load_run
-
-    target = Path(args.path)
-    try:
-        entries = (
-            load_corpus(target)
-            if target.is_dir()
-            else [(target, load_run(target))]
-        )
-    except (OSError, ValueError) as exc:
-        print(f"replay: {exc}", file=sys.stderr)
-        return 2
-    if not entries:
-        print(f"no corpus entries under {target}", file=sys.stderr)
-        return 2
-    try:
-        divergent = 0
-        for path, run in entries:
-            result = replay_run(run)
-            status = "ok" if result.matches else "DIVERGED"
-            print(f"{path.name:60s} {run.describe()}")
-            print(f"{'':60s} replay: {status}")
-            if not result.matches:
-                divergent += 1
-                for diff in result.diffs:
-                    print(f"{'':62s} {diff}")
-        print(
-            f"\n{len(entries) - divergent}/{len(entries)} corpus entries "
-            f"reproduced byte-for-byte"
-        )
-        return 1 if divergent else 0
-    except Exception as exc:
-        return _fuzz_internal_error("replay", exc)
-
-
-def run_shrink(args) -> int:
-    """Minimize a recorded failing run to its shortest reproducer."""
-    from repro.fuzz import save_run, shrink_run
-    from repro.fuzz.corpus import load_run
-
-    try:
-        run = load_run(args.path)
-    except (OSError, ValueError) as exc:
-        print(f"shrink: {exc}", file=sys.stderr)
-        return 2
-    if run.failure is None:
-        print(f"{args.path} recorded a clean run; nothing to shrink")
-        return 0
-    try:
-        result = shrink_run(run, max_executions=args.max_executions)
-        print(result.describe())
-        for step in result.minimized.steps:
-            print(step.describe())
-        if args.save is not None:
-            path = save_run(result.minimized, args.save)
-            print(f"[wrote {path}]")
-        if result.minimized.failure is None:
-            # The recorded failure no longer reproduces — the bug it
-            # pinned is gone (or the entry is stale).  Clean exit.
-            print("recorded failure no longer reproduces")
-            return 0
-        # The minimized run still reproduces a genuine finding.
-        return 1
-    except Exception as exc:
-        return _fuzz_internal_error("shrink", exc)
-
-
-def run_distill(args) -> int:
+@command(
+    "distill",
+    "reduce a corpus directory to a minimal-covering subset "
+    "(greedy set cover over coverage edges; failures always kept)",
+    arg("path", help="corpus directory"),
+    arg(
+        "--out", metavar="DIR", default=None,
+        help="write the distilled entries to DIR",
+    ),
+    arg(
+        "--prune", action="store_true",
+        help="delete subsumed entries from the corpus directory in place",
+    ),
+    fuzz_family=True,
+)
+def run_distill(args: argparse.Namespace) -> int:
     """Reduce a corpus directory to a minimal-covering subset."""
     from repro.fuzz import distill_runs, load_corpus, save_run
 
@@ -580,34 +736,70 @@ def run_distill(args) -> int:
     if not entries:
         print(f"no corpus entries under {args.path}", file=sys.stderr)
         return 2
-    try:
-        result = distill_runs([run for _, run in entries])
-        print(result.describe())
-        kept_fps = {run.fingerprint for run in result.kept}
+    result = distill_runs([run for _, run in entries])
+    print(result.describe())
+    kept_fps = {run.fingerprint for run in result.kept}
+    for path, run in entries:
+        marker = "keep" if run.fingerprint in kept_fps else "drop"
+        print(f"  {marker}  {path.name}  ({len(run.coverage)} edges)")
+    if args.out is not None:
+        for run in result.kept:
+            save_run(run, args.out)
+        print(f"[wrote {len(result.kept)} distilled entries to {args.out}]")
+    if args.prune:
+        pruned = 0
         for path, run in entries:
-            marker = "keep" if run.fingerprint in kept_fps else "drop"
-            print(f"  {marker}  {path.name}  ({len(run.coverage)} edges)")
-        if args.out is not None:
-            for run in result.kept:
-                save_run(run, args.out)
-            print(f"[wrote {len(result.kept)} distilled entries to {args.out}]")
-        if args.prune:
-            pruned = 0
-            for path, run in entries:
-                if run.fingerprint not in kept_fps:
-                    path.unlink()
-                    pruned += 1
-            print(f"[pruned {pruned} subsumed entries from {args.path}]")
-        return 0
-    except Exception as exc:
-        return _fuzz_internal_error("distill", exc)
+            if run.fingerprint not in kept_fps:
+                path.unlink()
+                pruned += 1
+        print(f"[pruned {pruned} subsumed entries from {args.path}]")
+    return 0
 
 
-def _run_sweep_inner(args) -> int:
+@command(
+    "sweep",
+    "scenario sweep + adaptation harness: run a cell grid of "
+    "(schedule x enclaves x NUMA x workloads x adaptation x policy) "
+    "seeds and emit per-cell stats artifacts (see docs/scenarios.md)",
+    SEED,
+    arg(
+        "--quick", action="store_true",
+        help="the small CI grid (6 cells x 2 seeds) instead of the "
+        "full one",
+    ),
+    arg(
+        "--spec", metavar="FILE", default=None,
+        help="load a covirt-sweep-spec JSON grid instead of the "
+        "built-in quick/full presets",
+    ),
+    arg(
+        "--seeds", type=int, default=None, metavar="N",
+        help="override the spec's seeds_per_cell",
+    ),
+    arg(
+        "--workers", type=int, default=1, metavar="K",
+        help="multiprocessing workers; artifacts are byte-identical "
+        "for any value (default 1)",
+    ),
+    arg(
+        "--out", metavar="DIR", default=None,
+        help="write sweep.json, tables.md, boxplot.json, and "
+        "BENCH_sweep.json under DIR",
+    ),
+    arg(
+        "--list-cells", action="store_true",
+        help="print the grid's cell ids and exit without running",
+    ),
+    arg(
+        "--quiet", action="store_true",
+        help="suppress per-batch progress lines",
+    ),
+    fuzz_family=True,
+)
+def run_sweep(args: argparse.Namespace) -> int:
     """Scenario sweep: resolve the spec, execute the grid, emit stats
-    artifacts.  Follows the fuzz-family exit contract: 0 clean, 1 when
-    any cell run ends in an oracle violation or unexpected exception,
-    2 on bad input or a crash in the harness itself."""
+    artifacts.  A finding is any cell run that ends in an oracle
+    violation or unexpected exception."""
     import json
     from pathlib import Path
 
@@ -664,14 +856,39 @@ def _run_sweep_inner(args) -> int:
     return 1 if result.failures else 0
 
 
-def run_sweep(args) -> int:
-    try:
-        return _run_sweep_inner(args)
-    except Exception as exc:
-        return _fuzz_internal_error("sweep", exc)
+# -- serving ----------------------------------------------------------
+
+# The daemon's options and foreground loop, shared with the
+# covirt-serve console script (which also names the help).
+command(
+    "serve",
+    "run the covirt-serve multi-tenant session daemon "
+    "(see docs/serving.md)",
+    serve_daemon.add_arguments,
+    **serve_daemon.PARSER_INFO,
+)(serve_daemon.serve)
 
 
-def run_serve_demo(args) -> int:
+@command(
+    "serve-demo",
+    "drive one session through launch/step/run/inspect/inject/"
+    "trace/kill against a covirt-serve daemon",
+    SEED,
+    arg(
+        "--scenario", default="baseline",
+        help="fuzz schedule to serve: baseline, hostile, churn, recovery",
+    ),
+    arg(
+        "--connect", metavar="SPEC", default=None,
+        help="use an external daemon at unix:PATH or tcp:HOST:PORT "
+        "instead of self-hosting one",
+    ),
+    arg(
+        "--shutdown", action="store_true",
+        help="ask the daemon to shut down at the end (CI smoke)",
+    ),
+)
+def run_serve_demo(args: argparse.Namespace) -> int:
     """The docs/serving.md quickstart, executable: drive one session
     through its whole lifecycle against a covirt-serve daemon.  By
     default the demo self-hosts a daemon on a background thread; with
@@ -727,366 +944,149 @@ def run_serve_demo(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "serve":
-        # Hand everything after "serve" to the daemon's own parser.
-        # argparse REMAINDER cannot capture a leading option token
-        # (e.g. ``repro serve --help``), so route before parsing.
-        from repro.serve.daemon import main as serve_main
-
-        return serve_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Covirt reproduction: regenerate the paper's evaluation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="run one or more experiments")
-    run.add_argument(
-        "experiments",
-        nargs="+",
-        metavar="EXPERIMENT",
-        help=f"one of: {', '.join(sorted(EXPERIMENTS))}, or 'all'",
-    )
-    run.add_argument(
-        "--json",
-        metavar="DIR",
-        default=None,
-        help="also write machine-readable results to DIR/<experiment>.json",
-    )
-    sub.add_parser("list", help="list available experiments")
-    sub.add_parser("fault-demo", help="crash an enclave, print its dossier")
-    sub.add_parser(
-        "recovery-demo",
-        help="inject the terminating fault gallery under supervision, "
-        "print per-fault-class MTTR",
-    )
-    sub.add_parser(
-        "verify", help="check every paper shape claim against its band"
-    )
-    trace = sub.add_parser(
-        "trace-export",
-        help="run the canonical demo scenario, export spans as "
-        "Chrome-trace/Perfetto JSON (see docs/observability.md)",
-    )
-    trace.add_argument("--seed", type=int, default=0xC0517)
-    trace.add_argument(
-        "--out", metavar="FILE", default="trace.json", help="output path"
-    )
-    trace.add_argument(
-        "--golden",
-        action="store_true",
-        help="print the timestamp-free golden transcript instead of "
-        "writing a trace file",
-    )
-    trace.add_argument(
-        "--postmortem-dir",
-        metavar="DIR",
-        default=None,
-        help="write the run's post-mortem bundles (the containment fault"
-        " produces one) into DIR as sorted-key JSON",
-    )
-    tana = sub.add_parser(
-        "trace-analyze",
-        help="critical paths, exit-latency attribution, and rollups for "
-        "an exported trace; --diff compares two traces structurally",
-    )
-    tana.add_argument(
-        "trace", help="Chrome-trace JSON (trace-export) or golden transcript"
-    )
-    tana.add_argument(
-        "--diff", metavar="TRACE", default=None,
-        help="second trace: report added/removed/retimed span paths",
-    )
-    tana.add_argument(
-        "--threshold", type=float, default=0.05,
-        help="relative retiming threshold for --diff (default 0.05)",
-    )
-    tana.add_argument(
-        "--top-k", type=int, default=10,
-        help="rows in the exit-attribution table (default 10)",
-    )
-    tana.add_argument(
-        "--fail-on-diff", action="store_true",
-        help="exit 1 when --diff finds any structural difference",
-    )
-    bcmp = sub.add_parser(
-        "bench-compare",
-        help="compare two BENCH_*.json sets against tolerance bands "
-        "(benchmarks/tolerances.json); exit 1 on regression",
-        add_help=False,
-    )
-    bcmp.add_argument("rest", nargs=argparse.REMAINDER)
-    mdump = sub.add_parser(
-        "metrics-dump",
-        help="run the canonical demo scenario, dump the metrics registry",
-    )
-    mdump.add_argument("--seed", type=int, default=0xC0517)
-    mdump.add_argument(
-        "--json", action="store_true", help="JSON instead of text"
-    )
-    mdump.add_argument(
-        "--prom", action="store_true",
-        help="Prometheus text exposition (v0.0.4) instead of text",
-    )
-    bval = sub.add_parser(
-        "bench-validate",
-        help="validate BENCH_*.json files against the covirt-bench schema",
-    )
-    bval.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help="files or globs (default: BENCH_*.json in the CWD)",
-    )
-    fuzz = sub.add_parser(
-        "fuzz",
-        help="seeded deterministic fault-injection fuzzing; --budget/"
-        "--continuous runs a coverage-guided parallel campaign "
-        "(see docs/fuzzing.md)",
-        epilog=FUZZ_EXIT_HELP,
-    )
-    fuzz.add_argument("--seed", type=int, default=0xC0517)
-    fuzz.add_argument(
-        "--steps", type=int, default=None,
-        help="actions per run (default: 200 single-run, 60 in a campaign)",
-    )
-    fuzz.add_argument(
-        "--schedule",
-        default="baseline",
-        help="single-run action-mix weight table: baseline, hostile, "
-        "churn, recovery",
-    )
-    fuzz.add_argument(
-        "--save", metavar="DIR", default=None,
-        help="single-run mode: serialize the run to DIR",
-    )
-    fuzz.add_argument(
-        "--shrink-on-failure",
-        action="store_true",
-        help="minimize failing sequences (ddmin) before exiting",
-    )
-    fuzz.add_argument(
-        "--budget", type=int, default=None, metavar="N",
-        help="campaign mode: execute exactly N runs (deterministic in "
-        "--seed regardless of --workers)",
-    )
-    fuzz.add_argument(
-        "--workers", type=int, default=1, metavar="K",
-        help="campaign mode: multiprocessing workers (default 1)",
-    )
-    fuzz.add_argument(
-        "--schedules", default=None, metavar="A,B,...",
-        help="campaign mode: comma-separated schedule rotation "
-        "(default: all four)",
-    )
-    fuzz.add_argument(
-        "--random", action="store_true",
-        help="campaign mode: disable coverage guidance (pure-random "
-        "baseline; fresh seeds only, no mutation)",
-    )
-    fuzz.add_argument(
-        "--continuous", action="store_true",
-        help="campaign mode: keep fuzzing until --max-seconds elapses "
-        "(the nightly bug-mining farm)",
-    )
-    fuzz.add_argument(
-        "--max-seconds", type=float, default=300.0, metavar="S",
-        help="wall-clock bound for --continuous (default 300)",
-    )
-    fuzz.add_argument(
-        "--out", metavar="DIR", default=None,
-        help="campaign mode: write distilled corpus, findings, "
-        "coverage.json, summary.json under DIR",
-    )
-    fuzz.add_argument(
-        "--quiet", action="store_true",
-        help="campaign mode: suppress per-batch progress lines",
-    )
-    distill = sub.add_parser(
-        "distill",
-        help="reduce a corpus directory to a minimal-covering subset "
-        "(greedy set cover over coverage edges; failures always kept)",
-        epilog=FUZZ_EXIT_HELP,
-    )
-    distill.add_argument("path", help="corpus directory")
-    distill.add_argument(
-        "--out", metavar="DIR", default=None,
-        help="write the distilled entries to DIR",
-    )
-    distill.add_argument(
-        "--prune", action="store_true",
-        help="delete subsumed entries from the corpus directory in place",
-    )
-    sweep = sub.add_parser(
-        "sweep",
-        help="scenario sweep + adaptation harness: run a cell grid of "
-        "(schedule x enclaves x NUMA x workloads x adaptation x policy) "
-        "seeds and emit per-cell stats artifacts (see docs/scenarios.md)",
-        epilog=FUZZ_EXIT_HELP,
-    )
-    sweep.add_argument("--seed", type=int, default=0xC0517)
-    sweep.add_argument(
-        "--quick", action="store_true",
-        help="the small CI grid (6 cells x 2 seeds) instead of the "
-        "full one",
-    )
-    sweep.add_argument(
-        "--spec", metavar="FILE", default=None,
-        help="load a covirt-sweep-spec JSON grid instead of the "
-        "built-in quick/full presets",
-    )
-    sweep.add_argument(
-        "--seeds", type=int, default=None, metavar="N",
-        help="override the spec's seeds_per_cell",
-    )
-    sweep.add_argument(
-        "--workers", type=int, default=1, metavar="K",
-        help="multiprocessing workers; artifacts are byte-identical "
-        "for any value (default 1)",
-    )
-    sweep.add_argument(
-        "--out", metavar="DIR", default=None,
-        help="write sweep.json, tables.md, boxplot.json, and "
-        "BENCH_sweep.json under DIR",
-    )
-    sweep.add_argument(
-        "--list-cells", action="store_true",
-        help="print the grid's cell ids and exit without running",
-    )
-    sweep.add_argument(
-        "--quiet", action="store_true",
-        help="suppress per-batch progress lines",
-    )
-    # "serve" is routed to the daemon's own parser before parse_args
-    # (see the top of this function); registered here for help listing.
-    sub.add_parser(
-        "serve",
-        help="run the covirt-serve multi-tenant session daemon "
-        "(see docs/serving.md)",
-        add_help=False,
-    )
-    sdemo = sub.add_parser(
-        "serve-demo",
-        help="drive one session through launch/step/run/inspect/inject/"
-        "trace/kill against a covirt-serve daemon",
-    )
-    sdemo.add_argument("--seed", type=int, default=0xC0517)
-    sdemo.add_argument(
-        "--scenario", default="baseline",
-        help="fuzz schedule to serve: baseline, hostile, churn, recovery",
-    )
-    sdemo.add_argument(
-        "--connect", metavar="SPEC", default=None,
-        help="use an external daemon at unix:PATH or tcp:HOST:PORT "
-        "instead of self-hosting one",
-    )
-    sdemo.add_argument(
-        "--shutdown", action="store_true",
-        help="ask the daemon to shut down at the end (CI smoke)",
-    )
-    top = sub.add_parser(
-        "top",
-        help="live dashboard over a covirt-serve daemon's telemetry "
-        "plane (interval-polling, curses-free)",
-    )
-    top.add_argument(
+command(
+    "top",
+    "live dashboard over a covirt-serve daemon's telemetry "
+    "plane (interval-polling, curses-free)",
+    arg(
         "--connect", metavar="SPEC", required=True,
         help="daemon endpoint: unix:PATH or tcp:HOST:PORT",
-    )
-    top.add_argument(
+    ),
+    arg(
         "--tenant", default="_top",
         help="tenant name for the dashboard connection (default _top)",
-    )
-    top.add_argument(
+    ),
+    arg(
         "--interval", type=float, default=2.0, metavar="S",
         help="seconds between snapshot polls (default 2.0)",
-    )
-    top.add_argument(
+    ),
+    arg(
         "--iterations", type=int, default=None, metavar="N",
         help="redraw N times then exit (default: until Ctrl-C)",
-    )
-    top.add_argument(
+    ),
+    arg(
         "--once", action="store_true",
         help="render a single snapshot and exit",
-    )
-    top.add_argument(
+    ),
+    arg(
         "--plain", action="store_true",
         help="append frames instead of clearing the screen (CI logs)",
-    )
-    top.add_argument(
+    ),
+    arg(
         "--json", action="store_true",
         help="print the raw telemetry.snapshot document and exit",
-    )
-    top.add_argument(
+    ),
+    arg(
         "--probe", type=float, default=None, metavar="SECONDS",
         help="CI smoke: subscribe, stir traffic, schema-validate every "
         "received frame for SECONDS; exit 1 on any invalid frame",
-    )
-    top.add_argument(
+    ),
+    arg(
         "--min-frames", type=int, default=1, metavar="N",
         help="--probe fails unless at least N frames arrive (default 1)",
+    ),
+)(run_top)
+
+
+# -- corpus tools (fuzz family) ---------------------------------------
+
+
+@command(
+    "replay",
+    "re-execute a recorded fuzz run (file or corpus dir)",
+    arg("path", help="corpus .json file or directory"),
+    fuzz_family=True,
+)
+def run_replay(args: argparse.Namespace) -> int:
+    """Re-execute recorded corpus runs; fail on any divergence."""
+    from pathlib import Path
+
+    from repro.fuzz import load_corpus, replay_run
+    from repro.fuzz.corpus import load_run
+
+    target = Path(args.path)
+    try:
+        entries = (
+            load_corpus(target)
+            if target.is_dir()
+            else [(target, load_run(target))]
+        )
+    except (OSError, ValueError) as exc:
+        print(f"replay: {exc}", file=sys.stderr)
+        return 2
+    if not entries:
+        print(f"no corpus entries under {target}", file=sys.stderr)
+        return 2
+    divergent = 0
+    for path, run in entries:
+        result = replay_run(run)
+        status = "ok" if result.matches else "DIVERGED"
+        print(f"{path.name:60s} {run.describe()}")
+        print(f"{'':60s} replay: {status}")
+        if not result.matches:
+            divergent += 1
+            for diff in result.diffs:
+                print(f"{'':62s} {diff}")
+    print(
+        f"\n{len(entries) - divergent}/{len(entries)} corpus entries "
+        f"reproduced byte-for-byte"
     )
-    replay = sub.add_parser(
-        "replay",
-        help="re-execute a recorded fuzz run (file or corpus dir)",
-        epilog=FUZZ_EXIT_HELP,
-    )
-    replay.add_argument("path", help="corpus .json file or directory")
-    shrink = sub.add_parser(
-        "shrink",
-        help="minimize a recorded failing run (ddmin)",
-        epilog=FUZZ_EXIT_HELP,
-    )
-    shrink.add_argument("path", help="corpus .json file")
-    shrink.add_argument("--max-executions", type=int, default=200)
-    shrink.add_argument(
+    return 1 if divergent else 0
+
+
+@command(
+    "shrink",
+    "minimize a recorded failing run (ddmin)",
+    arg("path", help="corpus .json file"),
+    arg("--max-executions", type=int, default=200),
+    arg(
         "--save", metavar="DIR", default=None, help="write the minimized run to DIR"
-    )
-    args = parser.parse_args(argv)
+    ),
+    fuzz_family=True,
+)
+def run_shrink(args: argparse.Namespace) -> int:
+    """Minimize a recorded failing run to its shortest reproducer."""
+    from repro.fuzz import save_run, shrink_run
+    from repro.fuzz.corpus import load_run
 
-    if args.command == "verify":
-        from repro.harness.verify import run_verification
-
-        report, ok = run_verification()
-        print(report)
-        print("\nALL CLAIMS REPRODUCED" if ok else "\nSOME CLAIMS OUT OF BAND")
-        return 0 if ok else 1
-    if args.command == "list":
-        for name in sorted(EXPERIMENTS):
-            print(f"  {name:22s} {EXPERIMENTS[name].__doc__.splitlines()[0]}")
+    try:
+        run = load_run(args.path)
+    except (OSError, ValueError) as exc:
+        print(f"shrink: {exc}", file=sys.stderr)
+        return 2
+    if run.failure is None:
+        print(f"{args.path} recorded a clean run; nothing to shrink")
         return 0
-    if args.command == "trace-export":
-        return run_trace_export(args)
-    if args.command == "trace-analyze":
-        return run_trace_analyze(args)
-    if args.command == "bench-compare":
-        return bench_compare_main(args.rest)
-    if args.command == "metrics-dump":
-        return run_metrics_dump(args)
-    if args.command == "bench-validate":
-        return run_bench_validate(args)
-    if args.command == "fault-demo":
-        return run_fault_demo()
-    if args.command == "recovery-demo":
-        return run_recovery_demo()
-    if args.command == "serve-demo":
-        return run_serve_demo(args)
-    if args.command == "top":
-        from repro.serve.top import run_top
+    result = shrink_run(run, max_executions=args.max_executions)
+    print(result.describe())
+    for step in result.minimized.steps:
+        print(step.describe())
+    if args.save is not None:
+        path = save_run(result.minimized, args.save)
+        print(f"[wrote {path}]")
+    if result.minimized.failure is None:
+        # The recorded failure no longer reproduces — the bug it
+        # pinned is gone (or the entry is stale).  Clean exit.
+        print("recorded failure no longer reproduces")
+        return 0
+    # The minimized run still reproduces a genuine finding.
+    return 1
 
-        return run_top(args)
-    if args.command == "fuzz":
-        return run_fuzz(args)
-    if args.command == "replay":
-        return run_replay(args)
-    if args.command == "shrink":
-        return run_shrink(args)
-    if args.command == "distill":
-        return run_distill(args)
-    if args.command == "sweep":
-        return run_sweep(args)
-    names = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
-    return run_experiments(names, json_dir=args.json)
+
+def main(argv: list[str] | None = None) -> int:
+    args = PARSER.parse_args(argv)
+    if not args.fuzz_family:
+        return args.handler(args)
+    try:
+        return args.handler(args)
+    except Exception as exc:
+        # A crash in a fuzz-family tool itself is status 2, not a
+        # finding (see FUZZ_EXIT_HELP).
+        import traceback
+
+        traceback.print_exc()
+        print(f"{args.command}: internal error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -133,6 +133,12 @@ class Machine:
 
     # -- time ----------------------------------------------------------
 
+    def furthest_tsc(self) -> int:
+        """How far simulated time got: cores run ahead of the global
+        clock while executing workloads, so this is the furthest of
+        ``clock.now`` and every core's TSC."""
+        return max(self.clock.now, max(core.read_tsc() for core in self.cores))
+
     def elapse(self, cycles: int) -> None:
         """Advance global time, firing any due events, and drag every
         core's TSC forward (idle cores still observe time passing)."""

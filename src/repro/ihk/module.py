@@ -107,9 +107,6 @@ class IhkModule(CoKernelFramework):
         return halted
 
     def destroy(self, os_index: int) -> None:
-        """``ihk os destroy``: shutdown + release the reservation."""
-        enclave = self.instance(os_index)
-        self._shut_down(enclave)
-        if enclave.state in (EnclaveState.RUNNING, EnclaveState.CREATED):
-            enclave.state = EnclaveState.DESTROYED
-        self._reclaim(enclave)
+        """``ihk os destroy``: shutdown + release the reservation, then
+        forget the instance."""
+        self._destroy(self.instance(os_index))

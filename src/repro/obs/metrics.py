@@ -381,14 +381,14 @@ class MetricsRegistry:
                 lines.append(f"# TYPE {base}_total counter")
                 for labels, value in metric.samples():
                     lines.append(
-                        f"{base}_total{_prom_labels(labels)} {_prom_num(value)}"
+                        f"{base}_total{prom_labels(labels)} {_prom_num(value)}"
                     )
             elif isinstance(metric, Gauge):
                 lines.append(f"# HELP {base} {metric.help or name}")
                 lines.append(f"# TYPE {base} gauge")
                 for labels, value in metric.samples():
                     lines.append(
-                        f"{base}{_prom_labels(labels)} {_prom_num(value)}"
+                        f"{base}{prom_labels(labels)} {_prom_num(value)}"
                     )
             elif isinstance(metric, Histogram):
                 lines.append(f"# HELP {base} {metric.help or name}")
@@ -399,18 +399,18 @@ class MetricsRegistry:
                         cumulative += count
                         le = dict(labels, le=_prom_num(bound))
                         lines.append(
-                            f"{base}_bucket{_prom_labels(le)} {cumulative}"
+                            f"{base}_bucket{prom_labels(le)} {cumulative}"
                         )
                     le = dict(labels, le="+Inf")
                     lines.append(
-                        f"{base}_bucket{_prom_labels(le)} {stats['count']}"
+                        f"{base}_bucket{prom_labels(le)} {stats['count']}"
                     )
                     lines.append(
-                        f"{base}_sum{_prom_labels(labels)} "
+                        f"{base}_sum{prom_labels(labels)} "
                         f"{_prom_num(stats['sum'])}"
                     )
                     lines.append(
-                        f"{base}_count{_prom_labels(labels)} {stats['count']}"
+                        f"{base}_count{prom_labels(labels)} {stats['count']}"
                     )
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -426,7 +426,9 @@ def prom_name(name: str) -> str:
     return out
 
 
-def _prom_labels(labels: dict[str, str]) -> str:
+def prom_labels(labels: dict[str, str]) -> str:
+    """``{k="v",...}`` with sorted keys and escaped values (backslash,
+    double quote, newline), or ``""`` for no labels."""
     if not labels:
         return ""
     pairs = []

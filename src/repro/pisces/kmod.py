@@ -242,6 +242,19 @@ class CoKernelFramework:
         self.host.online_cores_return(list(enclave.assignment.core_ids))
         enclave.assignment.core_ids.clear()
 
+    def _destroy(self, enclave: Enclave) -> None:
+        """Clean shutdown + reclaim, then forget the partition.
+
+        Dropping the registry entry lets a destroyed partition's kernel,
+        hypervisors and rings be freed with it.  ``FAILED`` partitions
+        that nobody destroys stay registered: recovery, the oracles and
+        post-mortems read them.
+        """
+        self._shut_down(enclave)
+        enclave.state = EnclaveState.DESTROYED
+        self._reclaim(enclave)
+        del self.enclaves[enclave.enclave_id]
+
 
 class PiscesKmod(CoKernelFramework):
     """The Pisces kernel module loaded into the host Linux OS."""
@@ -349,14 +362,5 @@ class PiscesKmod(CoKernelFramework):
         self._reclaim(enclave)
 
     def destroy_enclave(self, enclave_id: int) -> None:
-        """Clean shutdown + reclaim, then forget the enclave.
-
-        Dropping the registry entry lets a destroyed enclave's kernel,
-        hypervisors and rings be freed with it.  ``FAILED`` enclaves
-        stay registered: recovery, the oracles and post-mortems read them.
-        """
-        enclave = self.enclave(enclave_id)
-        self._shut_down(enclave)
-        enclave.state = EnclaveState.DESTROYED
-        self.reclaim_enclave(enclave_id)
-        del self.enclaves[enclave_id]
+        """Clean shutdown + reclaim, then forget the enclave."""
+        self._destroy(self.enclave(enclave_id))

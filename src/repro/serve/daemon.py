@@ -17,8 +17,8 @@ admission sheds tick ``serve.shed``; session churn moves the
 
 Embedding: tests and the throughput benchmark run the daemon on a
 background thread via :meth:`ServeDaemon.start` / :meth:`stop`; the
-``covirt-serve`` console script (and ``python -m repro serve``) runs
-:func:`main` in the foreground.
+``covirt-serve`` console script and ``python -m repro serve`` both
+parse :func:`add_arguments` and run :func:`serve` in the foreground.
 """
 
 from __future__ import annotations
@@ -736,13 +736,18 @@ def _parse_tcp(spec: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """The ``covirt-serve`` console script."""
-    parser = argparse.ArgumentParser(
-        prog="covirt-serve",
-        description="Serve concurrent simulated Covirt machines over "
-        "newline-delimited JSON-RPC (see docs/serving.md).",
-    )
+#: The daemon parser's name and description, shared by ``covirt-serve``
+#: and ``repro serve`` so both print the same help.
+PARSER_INFO = {
+    "prog": "covirt-serve",
+    "description": "Serve concurrent simulated Covirt machines over "
+    "newline-delimited JSON-RPC (see docs/serving.md).",
+}
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The daemon's options, declared once for ``covirt-serve`` and
+    ``repro serve``."""
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
         "--socket", metavar="PATH", default=None,
@@ -768,7 +773,11 @@ def main(argv: list[str] | None = None) -> int:
         "--backlog", type=int, default=DEFAULT_MAX_BACKLOG,
         help="daemon-wide queued-run cap before shedding",
     )
-    args = parser.parse_args(argv)
+
+
+def serve(args: argparse.Namespace) -> int:
+    """Run a daemon with the options of :func:`add_arguments` in the
+    foreground until it is shut down."""
     tcp = args.tcp
     if args.socket is None and tcp is None:
         tcp = ("127.0.0.1", 7717)
@@ -790,6 +799,13 @@ def main(argv: list[str] | None = None) -> int:
         pass
     print("covirt-serve: bye")
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """The ``covirt-serve`` console script."""
+    parser = argparse.ArgumentParser(**PARSER_INFO)
+    add_arguments(parser)
+    return serve(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

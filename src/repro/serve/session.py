@@ -256,11 +256,7 @@ class Session:
         }
 
     def sim_cycles(self) -> int:
-        machine = self.env.machine
-        return max(
-            machine.clock.now,
-            max(machine.core(i).read_tsc() for i in range(machine.num_cores)),
-        )
+        return self.env.machine.furthest_tsc()
 
     def inspect(self, include_metrics: bool = False) -> dict[str, Any]:
         """The session's control-plane view: enclaves, recovery state,

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.obs import metric_names
 from repro.obs.flight import _jsonable
+from repro.obs.metrics import prom_labels
 from repro.obs.schema import (
     TELEMETRY_FRAME_TYPES,
     TELEMETRY_ROLLUP_KEYS,
@@ -482,5 +483,6 @@ def render_prom(daemon: "ServeDaemon") -> str:
         lines.append(f"# HELP {name} per-tenant rollup: {key}")
         lines.append(f"# TYPE {name} gauge")
         for tenant, rollup in snapshot["tenants"].items():
-            lines.append(f'{name}{{tenant="{tenant}"}} {rollup[key]}')
+            labels = prom_labels({"tenant": tenant})
+            lines.append(f"{name}{labels} {rollup[key]}")
     return "\n".join(line for line in lines if line) + "\n"

@@ -18,6 +18,7 @@ import sys
 import time
 from typing import Any
 
+from repro.fuzz.rng import DEFAULT_SEED
 from repro.obs.schema import (
     validate_telemetry_frame,
     validate_telemetry_snapshot,
@@ -80,7 +81,7 @@ def _probe(client: ServeClient, seconds: float, min_frames: int) -> int:
     )
     # Stir a session of our own so the probe never depends on external
     # traffic; concurrent serve-demo frames ride along if present.
-    launched = client.launch(scenario="baseline", seed=0xC0517)
+    launched = client.launch(scenario="baseline", seed=DEFAULT_SEED)
     client.step(launched["session_id"], steps=8)
     client.kill(launched["session_id"])
     frames = client.read_frames(count=1_000_000, max_seconds=seconds)

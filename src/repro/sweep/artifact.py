@@ -28,30 +28,17 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.core.features import CovirtConfig
-from repro.harness.env import CovirtEnvironment, Layout
-from repro.obs.scenario import protection_probe
-from repro.obs.schema import (
-    BENCH_SCHEMA_NAME,
-    BENCH_SCHEMA_VERSION,
-    SWEEP_SCHEMA_NAME,
-    SWEEP_SCHEMA_VERSION,
-)
+from repro.harness.env import CovirtEnvironment
+from repro.obs.bench import build_bench_doc, run_probe
+from repro.obs.schema import SWEEP_SCHEMA_NAME, SWEEP_SCHEMA_VERSION
 from repro.sweep.runner import run_cell
 from repro.sweep.stats import aggregate, boxplot_doc, render_markdown
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sweep.executor import SweepResult
 
-MiB = 1 << 20
-
 #: The title both the CLI's BENCH doc and benchmarks/runner.py use.
 BENCH_TITLE = "Scenario sweep: per-cell medians across the grid"
-
-#: Same idea as the bench runner's probe enclave: one fully protected
-#: enclave poked across the whole protection surface so the BENCH
-#: artifact's ``exits_by_reason`` always covers every reason.
-_PROBE_LAYOUT = Layout("sweep-probe-1c/1n", {0: 1}, {0: 256 * MiB})
 
 
 def sweep_doc(result: "SweepResult", *, quick: bool) -> dict[str, Any]:
@@ -88,9 +75,7 @@ def representative_env(result: "SweepResult") -> CovirtEnvironment:
     env = CovirtEnvironment()
     cells = result.spec.cells()
     run_cell(cells[0], result.spec.seed_for(cells[0], 0), env=env)
-    probe = env.launch(_PROBE_LAYOUT, CovirtConfig.full(), name="probe")
-    protection_probe(env, probe)
-    env.teardown(probe)
+    run_probe(env)
     return env
 
 
@@ -101,27 +86,14 @@ def bench_doc(
     env: CovirtEnvironment | None = None,
 ) -> dict[str, Any]:
     """The covirt-bench artifact (``BENCH_sweep.json``)."""
-    if env is None:
-        env = representative_env(result)
-    registry = env.machine.obs.metrics
-    return {
-        "schema": BENCH_SCHEMA_NAME,
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "bench": "sweep",
-        "title": BENCH_TITLE,
-        "quick": bool(quick),
-        "seed": result.spec.base_seed,
-        "sim_cycles": max(
-            env.machine.clock.now,
-            max(
-                env.machine.core(i).read_tsc()
-                for i in range(env.machine.num_cores)
-            ),
-        ),
-        "exits_by_reason": registry.exit_counts_by_reason(),
-        "metrics": registry.to_dict(),
-        "results": aggregate(result),
-    }
+    return build_bench_doc(
+        env if env is not None else representative_env(result),
+        "sweep",
+        BENCH_TITLE,
+        quick=quick,
+        seed=result.spec.base_seed,
+        results=aggregate(result),
+    )
 
 
 def _dump(doc: dict[str, Any]) -> str:

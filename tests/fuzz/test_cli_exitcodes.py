@@ -217,3 +217,50 @@ class TestExitTwoInternalError:
         path.write_text(json.dumps(doc))
         assert cli.main(["sweep", "--spec", str(path)]) == 2
         assert "unknown schedule" in capsys.readouterr().err
+
+
+def _crash(*args, **kwargs):
+    raise RuntimeError("injected by test")
+
+
+class TestExitTwoToolCrash:
+    """A crash inside the tool itself: exit 2, a traceback, and one
+    ``<tool>: internal error`` line on stderr."""
+
+    def assert_internal_error(self, tool, argv, capsys):
+        assert cli.main([tool, *argv]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert f"{tool}: internal error: injected by test" in err
+
+    def test_fuzz(self, monkeypatch, capsys):
+        monkeypatch.setattr(EngineClass, "run", _crash)
+        self.assert_internal_error("fuzz", ["--steps", "5"], capsys)
+
+    def test_replay(self, monkeypatch, capsys):
+        import repro.fuzz
+
+        monkeypatch.setattr(repro.fuzz, "replay_run", _crash)
+        self.assert_internal_error("replay", [str(CORPUS_DIR)], capsys)
+
+    def test_shrink(self, tmp_path, monkeypatch, capsys):
+        import repro.fuzz
+
+        run = FuzzEngine(seed=21, schedule="baseline").run(6)
+        path = save_run(fabricate_failure(run), tmp_path)
+        monkeypatch.setattr(repro.fuzz, "shrink_run", _crash)
+        self.assert_internal_error("shrink", [str(path)], capsys)
+
+    def test_distill(self, monkeypatch, capsys):
+        import repro.fuzz
+
+        monkeypatch.setattr(repro.fuzz, "distill_runs", _crash)
+        self.assert_internal_error("distill", [str(CORPUS_DIR)], capsys)
+
+    def test_sweep(self, tiny_sweep_spec, monkeypatch, capsys):
+        import repro.sweep
+
+        monkeypatch.setattr(repro.sweep.SweepExecutor, "run", _crash)
+        self.assert_internal_error(
+            "sweep", ["--spec", str(tiny_sweep_spec), "--quiet"], capsys
+        )

@@ -203,3 +203,17 @@ class TestCli:
         ) == 1
         out = capsys.readouterr().out
         assert "added" in out
+
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_unreadable_trace_is_a_one_line_error(
+        self, tmp_path, capsys, content
+    ):
+        # Exit 1 means "the traces differ"; unreadable input is 2.
+        trace = tmp_path / "trace.json"
+        if content is not None:
+            trace.write_text(content)
+        assert cli_main(["trace-analyze", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("trace-analyze:")
+        assert str(trace) in err
+        assert len(err.strip().splitlines()) == 1

@@ -198,6 +198,15 @@ class TestBenchValidateCli:
         out = capsys.readouterr().out
         assert "missing figure keys" in out
 
+    def test_absolute_glob_is_expanded(self, recovery_doc, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        for name in ("BENCH_a.json", "BENCH_b.json"):
+            (tmp_path / name).write_text(json.dumps(recovery_doc))
+        pattern = str(tmp_path / "BENCH_*.json")
+        assert cli_main(["bench-validate", pattern]) == 0
+        assert capsys.readouterr().out.count(": ok (recovery, ") == 2
+
     def test_exit_0_on_the_committed_artifacts(self, capsys):
         from repro.cli import main as cli_main
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import bench_compare_main
+from repro.cli import main
 from repro.obs.sentinel import (
     ToleranceError,
     compare_sets,
@@ -145,8 +145,9 @@ class TestCompare:
             tmp_path / "cand",
             run_scenario("fig4", quick=True, costs=slower),
         )
-        code = bench_compare_main(
+        code = main(
             [
+                "bench-compare",
                 str(tmp_path / "base"),
                 str(tmp_path / "cand"),
                 "--tolerances", str(TOLERANCES),
@@ -185,8 +186,9 @@ class TestCli:
         write_doc(tmp_path / "base", quick_fig4)
         write_doc(tmp_path / "cand", quick_fig4)
         out_md = tmp_path / "report.md"
-        code = bench_compare_main(
+        code = main(
             [
+                "bench-compare",
                 str(tmp_path / "base"),
                 str(tmp_path / "cand"),
                 "--tolerances", str(TOLERANCES),
@@ -199,8 +201,11 @@ class TestCli:
     def test_cli_bad_tolerances_is_a_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "t.json"
         bad.write_text("{}")
-        code = bench_compare_main(
-            [str(tmp_path), str(tmp_path), "--tolerances", str(bad)]
+        code = main(
+            [
+                "bench-compare",
+                str(tmp_path), str(tmp_path), "--tolerances", str(bad),
+            ]
         )
         assert code == 2
         assert "bad tolerances" in capsys.readouterr().err
@@ -208,8 +213,9 @@ class TestCli:
     def test_empty_directories_fail(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
-        code = bench_compare_main(
+        code = main(
             [
+                "bench-compare",
                 str(tmp_path / "a"),
                 str(tmp_path / "b"),
                 "--tolerances", str(TOLERANCES),

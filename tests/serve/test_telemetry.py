@@ -274,6 +274,18 @@ class TestProm:
             assert line.startswith("#") or " " in line
 
 
+    def test_tenant_label_is_escaped(self, client, make_client):
+        # hello accepts any 1-64 char tenant; an unescaped one could
+        # forge a sample line in the exposition.
+        make_client('evil"} x 1\nfoo').launch(seed=1)
+        text = client.prom()
+        assert 'covirt_tenant_sessions{tenant="evil"} x 1' not in text
+        assert (
+            'covirt_tenant_sessions{tenant="evil\\"} x 1\\nfoo"} 1'
+            in text
+        )
+
+
 class TestResponseTooLarge:
     def test_oversized_reply_becomes_a_typed_error(self):
         daemon = ServeDaemon(tcp=("127.0.0.1", 0))

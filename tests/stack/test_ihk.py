@@ -47,6 +47,14 @@ class TestLifecycle:
         ihk.destroy(os_index)
         assert env.host.is_pristine()
 
+    def test_destroy_forgets_the_instance(self, env, ihk):
+        os_index, enclave = boot_instance(env, ihk)
+        ihk.destroy(os_index)
+        assert enclave.state is EnclaveState.DESTROYED
+        assert ihk.enclaves == {}
+        with pytest.raises(IhkError):
+            ihk.ioctl(IhkIoctl.QUERY_STATUS, os_index)
+
     def test_reserve_rolls_back_on_failure(self, env, ihk):
         with pytest.raises(IhkError):
             ihk.reserve({0: 99}, {0: GiB})
