@@ -26,6 +26,7 @@ interrupted when CPU-local state must be invalidated.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -531,11 +532,13 @@ class CovirtController:
         return ctx.aggregate_counters()
 
     def _ioctl_dossier(self, enclave_id: int) -> dict[str, Any]:
-        """Fetch the crash report for a terminated enclave."""
+        """Fetch a copy of the crash report for a terminated enclave (the
+        kept dossier is also the ``containment`` post-mortem's, which
+        renders it later, so callers must not reach the original)."""
         dossier = self.dossiers.get(enclave_id)
         if dossier is None:
             raise KeyError(f"no fault dossier for enclave {enclave_id}")
-        return dossier
+        return copy.deepcopy(dossier)
 
     def _ioctl_ping(self, enclave_id: int) -> int:
         """Liveness check through the full command path."""

@@ -98,35 +98,64 @@ def _nest(flat: list[TraceSpan]) -> None:
             stack.append(span)
 
 
+_NUMBER = (int, float)
+
+
+def _field(
+    obj: dict, index: int, key: str, kinds: tuple[type, ...], label: str = ""
+) -> Any:
+    """``obj[key]`` if it is one of ``kinds``; otherwise a ValueError
+    naming the event and the field."""
+    value = obj.get(key)
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise ValueError(
+            f"trace event {index}: missing or malformed {label or key!r}"
+        )
+    return value
+
+
 def load_chrome_trace(source: str | Path | dict) -> TraceModel:
-    """Load a ``trace-export`` document (path or already-parsed dict)."""
+    """Load a ``trace-export`` document (path or already-parsed dict).
+    A document without the fields read here raises ValueError."""
     doc = (
         source
         if isinstance(source, dict)
         else json.loads(Path(source).read_text())
     )
-    if "traceEvents" not in doc:
+    events = doc.get("traceEvents") if isinstance(doc, dict) else None
+    if not isinstance(events, list):
         raise ValueError("not a Chrome-trace document (no traceEvents)")
-    tid_names: dict[int, str] = {}
-    for ev in doc["traceEvents"]:
+    other = doc.get("otherData", {})
+    if not isinstance(other, dict):
+        raise ValueError("otherData is not an object")
+    cycles_per_us = other.get("cycles_per_us", CYCLES_PER_US)
+    if not isinstance(cycles_per_us, _NUMBER):
+        raise ValueError("otherData.cycles_per_us is not a number")
+    for index, ev in enumerate(events):
+        if not isinstance(ev, dict):
+            raise ValueError(f"trace event {index}: not an object")
+    tid_names: dict[int | str, str] = {}
+    for index, ev in enumerate(events):
         if ev.get("ph") == "M" and ev.get("name") == "thread_name":
-            tid_names[ev["tid"]] = ev["args"]["name"]
-    cycles_per_us = doc.get("otherData", {}).get(
-        "cycles_per_us", CYCLES_PER_US
-    )
+            tid = _field(ev, index, "tid", (int, str))
+            args = _field(ev, index, "args", (dict,))
+            tid_names[tid] = _field(args, index, "name", (str,), "args.name")
     flat: list[TraceSpan] = []
-    for ev in doc["traceEvents"]:
+    for index, ev in enumerate(events):
         if ev.get("ph") != "X":
             continue
-        args = dict(ev.get("args", {}))
-        start = round(ev["ts"] * cycles_per_us)
-        dur = int(args.get("cycles", round(ev["dur"] * cycles_per_us)))
+        args = dict(_field(ev, index, "args", (dict,)) if "args" in ev else {})
+        start = round(_field(ev, index, "ts", _NUMBER) * cycles_per_us)
+        dur = round(_field(ev, index, "dur", _NUMBER) * cycles_per_us)
+        if "cycles" in args:
+            dur = _field(args, index, "cycles", _NUMBER, "args.cycles")
+        tid = _field(ev, index, "tid", (int, str))
         flat.append(
             TraceSpan(
-                name=ev["name"],
-                track=tid_names.get(ev["tid"], f"tid{ev['tid']}"),
+                name=_field(ev, index, "name", (str,)),
+                track=tid_names.get(tid, f"tid{tid}"),
                 start=start,
-                end=start + dur,
+                end=start + int(dur),
                 depth=0,
                 args=args,
             )

@@ -108,18 +108,43 @@ class Metric:
         if self._notify is not None:
             self._notify(self.kind, self.name, labels, value)
 
-    def samples(self) -> list[tuple[dict[str, str], Any]]:  # pragma: no cover
+    def snapshot(self) -> Any:  # pragma: no cover
+        """This metric's values as of now, in a copy later updates
+        cannot reach; :meth:`samples` reads it back."""
+        raise NotImplementedError
+
+    def samples(
+        self, state: Any = None
+    ) -> list[tuple[dict[str, str], Any]]:  # pragma: no cover
+        """Sorted ``(labels, value)`` pairs, live or of a
+        :meth:`snapshot`."""
         raise NotImplementedError
 
 
-class Counter(Metric):
-    """A monotonically increasing count per label set."""
-
-    kind = "counter"
+class _Scalar(Metric):
+    """One number per label set (the counter and gauge storage)."""
 
     def __init__(self, name: str, help: str = "") -> None:
         super().__init__(name, help)
         self._values: dict[LabelKey, float] = {}
+
+    def get(self, **labels: Any) -> float:
+        return self._values.get(_labelkey(labels), 0)
+
+    def snapshot(self) -> dict[LabelKey, float]:
+        return dict(self._values)
+
+    def samples(
+        self, state: dict[LabelKey, float] | None = None
+    ) -> list[tuple[dict[str, str], float]]:
+        values = self._values if state is None else state
+        return [(dict(k), v) for k, v in sorted(values.items())]
+
+
+class Counter(_Scalar):
+    """A monotonically increasing count per label set."""
+
+    kind = "counter"
 
     def inc(self, amount: int | float = 1, **labels: Any) -> None:
         if amount < 0:
@@ -127,9 +152,6 @@ class Counter(Metric):
         key = _labelkey(labels)
         self._values[key] = self._values.get(key, 0) + amount
         self._event(labels, amount)
-
-    def get(self, **labels: Any) -> float:
-        return self._values.get(_labelkey(labels), 0)
 
     def total(self) -> float:
         return sum(self._values.values())
@@ -142,28 +164,15 @@ class Counter(Metric):
             out[bucket] = out.get(bucket, 0) + value
         return dict(sorted(out.items()))
 
-    def samples(self) -> list[tuple[dict[str, str], float]]:
-        return [(dict(k), v) for k, v in sorted(self._values.items())]
 
-
-class Gauge(Metric):
+class Gauge(_Scalar):
     """A set-to-current-value metric per label set."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
-        self._values: dict[LabelKey, float] = {}
-
     def set(self, value: int | float, **labels: Any) -> None:
         self._values[_labelkey(labels)] = value
         self._event(labels, value)
-
-    def get(self, **labels: Any) -> float:
-        return self._values.get(_labelkey(labels), 0)
-
-    def samples(self) -> list[tuple[dict[str, str], float]]:
-        return [(dict(k), v) for k, v in sorted(self._values.items())]
 
 
 class Histogram(Metric):
@@ -230,20 +239,30 @@ class Histogram(Metric):
                 return float(self.bounds[min(i, len(self.bounds) - 1)])
         return float(self.bounds[-1])  # pragma: no cover - loop covers total
 
-    def samples(self) -> list[tuple[dict[str, str], dict[str, Any]]]:
-        out = []
-        for key in sorted(self._buckets):
-            out.append(
-                (
-                    dict(key),
-                    {
-                        "counts": list(self._buckets[key]),
-                        "sum": self._sum[key],
-                        "count": self._count[key],
-                    },
-                )
+    def snapshot(self) -> tuple[dict, dict, dict]:
+        return (
+            {key: list(counts) for key, counts in self._buckets.items()},
+            dict(self._sum),
+            dict(self._count),
+        )
+
+    def samples(
+        self, state: tuple | None = None
+    ) -> list[tuple[dict[str, str], dict[str, Any]]]:
+        buckets, sums, counts = (
+            (self._buckets, self._sum, self._count) if state is None else state
+        )
+        return [
+            (
+                dict(key),
+                {
+                    "counts": list(buckets[key]),
+                    "sum": sums[key],
+                    "count": counts[key],
+                },
             )
-        return out
+            for key in sorted(buckets)
+        ]
 
 
 class MetricsRegistry:
@@ -310,37 +329,44 @@ class MetricsRegistry:
 
     # -- rendering -------------------------------------------------------
 
-    def to_dict(self) -> dict[str, Any]:
-        """Deterministic JSON-ready dump of every metric."""
+    def snapshot(self) -> list[tuple[Metric, Any]]:
+        """Every metric's values as of now, by name: shallow copies of
+        each value dict and histogram bucket list, so later updates do
+        not reach them.  Cheap to take; :meth:`render` turns one into
+        the :meth:`to_dict` form."""
+        return [
+            (metric, metric.snapshot())
+            for _, metric in sorted(self._metrics.items())
+        ]
+
+    @staticmethod
+    def render(snapshot: list[tuple[Metric, Any]]) -> dict[str, Any]:
+        """The deterministic JSON-ready form of a :meth:`snapshot`."""
         out: dict[str, Any] = {"counters": {}, "gauges": {}, "histograms": {}}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if isinstance(metric, Counter):
-                out["counters"][name] = {
-                    "help": metric.help,
-                    "samples": [
-                        {"labels": labels, "value": value}
-                        for labels, value in metric.samples()
-                    ],
-                }
-            elif isinstance(metric, Gauge):
-                out["gauges"][name] = {
-                    "help": metric.help,
-                    "samples": [
-                        {"labels": labels, "value": value}
-                        for labels, value in metric.samples()
-                    ],
-                }
-            elif isinstance(metric, Histogram):
-                out["histograms"][name] = {
+        for metric, state in snapshot:
+            samples = metric.samples(state)
+            if isinstance(metric, Histogram):
+                out["histograms"][metric.name] = {
                     "help": metric.help,
                     "bounds": list(metric.bounds),
                     "samples": [
-                        {"labels": labels, **stats}
-                        for labels, stats in metric.samples()
+                        {"labels": labels, **stats} for labels, stats in samples
+                    ],
+                }
+            else:
+                section = "counters" if isinstance(metric, Counter) else "gauges"
+                out[section][metric.name] = {
+                    "help": metric.help,
+                    "samples": [
+                        {"labels": labels, "value": value}
+                        for labels, value in samples
                     ],
                 }
         return out
+
+    def to_dict(self) -> dict[str, Any]:
+        """Deterministic JSON-ready dump of every metric."""
+        return self.render(self.snapshot())
 
     def render_text(self) -> str:
         """The ``metrics-dump`` CLI's human-readable form."""

@@ -302,14 +302,6 @@ class Session:
             doc["metrics"] = registry.to_dict()
         return doc
 
-    @staticmethod
-    def _event_cycle(event: dict[str, Any]) -> int:
-        """The simulated-time stamp of one flight-recorder event (spans
-        carry start/end, metric deltas and notes carry ``tsc``)."""
-        if "tsc" in event:
-            return int(event["tsc"])
-        return int(event.get("end", event.get("start", 0)))
-
     def trace(
         self,
         cursor: int = 0,
@@ -324,26 +316,9 @@ class Session:
         stamped at or after that simulated time; events it skips still
         advance the cursor (they are consumed, not deferred)."""
         flight = self.env.machine.obs.flight
-        events = flight.tail()
-        first = flight.recorded - len(events)
-        cursor = max(0, int(cursor))
-        dropped = max(0, first - cursor)
-        limit = max(0, int(limit))
-        window: list[dict[str, Any]] = []
-        next_cursor = max(cursor, first)
-        for index, event in enumerate(events, start=first):
-            if index < cursor:
-                continue
-            if len(window) >= limit:
-                break
-            next_cursor = index + 1
-            if since_cycle is not None and self._event_cycle(event) < since_cycle:
-                continue
-            window.append(event)
-        else:
-            next_cursor = flight.recorded
+        events, next_cursor, dropped = flight.window(cursor, limit, since_cycle)
         return {
-            "events": window,
+            "events": events,
             "cursor": next_cursor,
             "dropped": dropped,
             "recorded": flight.recorded,

@@ -51,6 +51,20 @@ class TestDossierCollection:
         dossier = env.mcp.kmod.ioctl(CovirtIoctl.DOSSIER, enclave.enclave_id)
         assert dossier == env.controller.dossiers[enclave.enclave_id]
 
+    def test_ioctl_result_is_a_copy(self, crashed):
+        env, enclave = crashed
+        eid = enclave.enclave_id
+        kept = json.dumps(env.controller.dossiers[eid])
+        dossier = env.mcp.kmod.ioctl(CovirtIoctl.DOSSIER, eid)
+        dossier["enclave_name"] = "rewritten"
+        dossier["cores"][0]["halted"] = "rewritten"
+        dossier["cores"].clear()
+        assert json.dumps(env.controller.dossiers[eid]) == kept
+        bundle = containment_bundle(env.machine.obs.flight, eid)
+        assert json.dumps(bundle["detail"]["dossier"], sort_keys=True) == (
+            json.dumps(json.loads(kept), sort_keys=True)
+        )
+
     def test_no_dossier_for_healthy_enclave(self, env):
         enclave = env.launch(LAYOUT, CovirtConfig.full())
         with pytest.raises(KeyError):

@@ -65,6 +65,22 @@ class TestLoaders:
         with pytest.raises(ValueError):
             load_chrome_trace({"not": "a trace"})
 
+    @pytest.mark.parametrize(
+        "events, field",
+        [
+            ([{"ph": "X", "name": "a"}], "'ts'"),
+            ([{"ph": "X", "name": "a", "ts": 0, "dur": 1}], "'tid'"),
+            ([{"ph": "M", "name": "thread_name", "tid": 1}], "'args'"),
+            ([{"ph": "X", "name": "a", "ts": "0", "dur": 1}], "'ts'"),
+            ([{"ph": "X"}, 7], "event 1: not an object"),
+        ],
+        ids=["no-ts", "no-tid", "thread-name-no-args", "str-ts", "not-object"],
+    )
+    def test_malformed_event_names_its_index_and_field(self, events, field):
+        with pytest.raises(ValueError, match=field) as info:
+            load_chrome_trace({"traceEvents": events})
+        assert "trace event" in str(info.value)
+
     def test_golden_transcript_loads_structure_only(self):
         model = load_golden_transcript(
             [
@@ -203,6 +219,25 @@ class TestCli:
         ) == 1
         out = capsys.readouterr().out
         assert "added" in out
+
+    @pytest.mark.parametrize(
+        "events, field",
+        [
+            ([{"ph": "X", "name": "a"}], "'ts'"),
+            ([{"ph": "X", "name": "a", "ts": 0, "dur": 1}], "'tid'"),
+        ],
+        ids=["no-ts", "no-tid"],
+    )
+    def test_malformed_trace_is_a_one_line_error(
+        self, tmp_path, capsys, events, field
+    ):
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps({"traceEvents": events}))
+        assert cli_main(["trace-analyze", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"trace-analyze: unreadable {trace}:")
+        assert "trace event 0" in err and field in err
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("content", [None, "{not json"])
     def test_unreadable_trace_is_a_one_line_error(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +23,28 @@ from repro.obs.scenario import run_canonical_scenario
 from repro.obs.schema import validate_postmortem
 
 
+#: Per-file SHA-256 of the post-mortem dumps of one fixed fuzz run, one
+#: digest over every sorted file's name and bytes (``*``), and one of the
+#: retained bundles as JSON with their key order kept (``postmortems``).
+GOLDEN_DUMPS = Path(__file__).parent / "golden" / "postmortem_dumps.sha256"
+
+
 @pytest.fixture
 def obs() -> Observability:
     return Observability(Clock())
+
+
+def _dump_digests(directory: Path, retained: str) -> str:
+    total = hashlib.sha256()
+    lines = []
+    for path in sorted(directory.iterdir()):
+        data = path.read_bytes()
+        total.update(path.name.encode())
+        total.update(data)
+        lines.append(f"{hashlib.sha256(data).hexdigest()}  {path.name}")
+    lines.append(f"{total.hexdigest()}  *")
+    lines.append(f"{hashlib.sha256(retained.encode()).hexdigest()}  postmortems")
+    return "\n".join(lines) + "\n"
 
 
 class TestRing:
@@ -100,9 +121,8 @@ class TestPostmortem:
     def test_bundle_shape_and_schema(self, obs):
         obs.flight.register_context("covirt", lambda: {"enclaves": {}})
         obs.metrics.counter("c").inc()
-        bundle = obs.flight.postmortem(
-            "containment", "wild read", core=3
-        )
+        obs.flight.postmortem("containment", "wild read", core=3)
+        bundle = obs.flight.postmortems[-1]
         assert bundle["schema"] == POSTMORTEM_SCHEMA_NAME
         assert bundle["schema_version"] == POSTMORTEM_SCHEMA_VERSION
         assert bundle["trigger"] == "containment"
@@ -118,7 +138,8 @@ class TestPostmortem:
         obs.flight.register_context("covirt", broken)
         obs.flight.register_context("recovery", lambda: {"services": {}})
         obs.metrics.counter("c").inc()
-        bundle = obs.flight.postmortem("oracle", "broken machine")
+        obs.flight.postmortem("oracle", "broken machine")
+        bundle = obs.flight.postmortems[-1]
         assert bundle["context"] == {
             "covirt": {"error": "ValueError: corrupt queue header"},
             "recovery": {"services": {}},
@@ -143,7 +164,8 @@ class TestPostmortem:
     def test_dump_dir_writes_sorted_key_json(self, obs, tmp_path):
         obs.flight.dump_dir = tmp_path
         obs.metrics.counter("c").inc()
-        bundle = obs.flight.postmortem("containment", "r")
+        obs.flight.postmortem("containment", "r")
+        bundle = obs.flight.postmortems[-1]
         (path,) = obs.flight.dumped_paths
         assert path.name == "postmortem_000_containment.json"
         loaded = json.loads(path.read_text())
@@ -152,25 +174,89 @@ class TestPostmortem:
         assert loaded["seq"] == bundle["seq"]
 
 
+class TestCaptureTime:
+    """A bundle read long after its capture reads as it would have been
+    rendered at capture, whatever the machine did in between."""
+
+    @staticmethod
+    def _drive(obs: Observability) -> None:
+        state = {"phase": "running", "faults": ["ept"]}
+        obs.flight.identity = {"tenant": "t-1", "steps_applied": 3}
+        obs.flight.register_context(
+            "svc",
+            lambda: {"phase": state["phase"], "faults": list(state["faults"])},
+        )
+        with obs.tracer.span("hv.drain", track="core1", queue=2) as drain:
+            obs.tracer.clock.advance(40)
+            drain.args["serviced"] = 1
+        obs.metrics.counter("c").inc(reason="ept", core=1)
+        obs.metrics.gauge("g").set(7, tenant="t-1")
+        obs.metrics.histogram("h").observe(300, op="attach")
+        obs.flight.note("containment", "core 1 down", fault_kind="ept")
+        obs.flight.postmortem("containment", "wild read", core=1, enclave=2)
+        # Keep going: every part the capture saw moves on, and the ring
+        # wraps far past its capacity.
+        for i in range(DEFAULT_FLIGHT_CAPACITY + 100):
+            with obs.tracer.span("hv.exit", track="core1", step=i):
+                obs.tracer.clock.advance(3)
+            obs.metrics.counter("c").inc(reason="ept", core=1)
+            obs.metrics.histogram("h").observe(i * 7, op="attach")
+        obs.metrics.gauge("g").set(8, tenant="t-1")
+        obs.metrics.counter("late").inc()
+        obs.flight.identity.update({"steps_applied": 9, "clock": 1})
+        obs.flight.identity["tenant"] = "t-2"
+        state["phase"] = "parked"
+        state["faults"].append("nmi")
+
+    def test_late_read_equals_the_render_at_capture(self, tmp_path):
+        eager, late = Observability(Clock()), Observability(Clock())
+        eager.flight.dump_dir = tmp_path  # renders at capture
+        self._drive(eager)
+        self._drive(late)
+        assert late.flight.recorded > 2 * DEFAULT_FLIGHT_CAPACITY
+        bundle = late.flight.postmortems[0]
+        assert json.dumps(bundle) == json.dumps(eager.flight.postmortems[0])
+        (path,) = eager.flight.dumped_paths
+        assert path.read_text() == (
+            json.dumps(bundle, indent=1, sort_keys=True) + "\n"
+        )
+        assert bundle["identity"] == {"steps_applied": 3, "tenant": "t-1"}
+        assert bundle["context"]["svc"] == {
+            "faults": ["ept"], "phase": "running"
+        }
+        assert "late" not in bundle["metrics"]["counters"]
+        assert bundle["events_recorded"] == len(bundle["events"]) == 5
+        assert bundle["events"][0]["args"] == {"queue": 2, "serviced": 1}
+        assert validate_postmortem(bundle) == []
+
+    def test_reading_twice_returns_the_same_bundle(self, obs):
+        obs.metrics.counter("c").inc()
+        obs.flight.postmortem("t")
+        assert obs.flight.postmortems[0] is obs.flight.postmortems[-1]
+
+
 class TestValidatePostmortem:
     def test_rejects_non_object(self):
         assert validate_postmortem([]) != []
 
     def test_rejects_wrong_schema_version(self, obs):
         obs.metrics.counter("c").inc()
-        bundle = obs.flight.postmortem("t")
+        obs.flight.postmortem("t")
+        bundle = obs.flight.postmortems[-1]
         bundle["schema_version"] = 99
         assert any(
             "schema_version" in p for p in validate_postmortem(bundle)
         )
 
     def test_rejects_empty_event_tail(self, obs):
-        bundle = obs.flight.postmortem("t")
+        obs.flight.postmortem("t")
+        bundle = obs.flight.postmortems[-1]
         assert any("events" in p for p in validate_postmortem(bundle))
 
     def test_rejects_unknown_event_type(self, obs):
         obs.metrics.counter("c").inc()
-        bundle = obs.flight.postmortem("t")
+        obs.flight.postmortem("t")
+        bundle = obs.flight.postmortems[-1]
         bundle["events"][0]["type"] = "martian"
         assert validate_postmortem(bundle) != []
 
@@ -226,6 +312,31 @@ class TestWiredScenario:
         }
         assert validate_postmortem(bundle) == []
 
+    def test_dumps_match_the_golden_digests(self, tmp_path, update_golden):
+        # Six bundles: four containment, one recovery-parked, and the
+        # oracle bundle whose covirt section is the raising provider's
+        # error.  Regenerate with --update-golden.
+        engine = FuzzEngine(seed=1808926366, schedule="churn")
+        flight = engine.env.machine.obs.flight
+        flight.dump_dir = tmp_path
+        engine.run(40)
+        retained = json.dumps(list(flight.postmortems))
+        digests = _dump_digests(tmp_path, retained)
+        if update_golden:
+            GOLDEN_DUMPS.write_text(digests)
+        assert digests == GOLDEN_DUMPS.read_text(), (
+            "post-mortem dumps diverged from tests/obs/golden/"
+            "postmortem_dumps.sha256"
+        )
+        # The same run without a dump directory renders each bundle only
+        # when it is read, after the run: it must read the same.
+        late = FuzzEngine(seed=1808926366, schedule="churn")
+        late.run(40)
+        captures = late.env.machine.obs.flight.postmortems
+        assert len(captures) == 6
+        assert all(c.rendered is None for c in captures._captures)
+        assert json.dumps(list(captures)) == retained
+
     def test_oracle_violation_snapshots_a_postmortem(self):
         engine = FuzzEngine(seed=7, schedule="baseline")
         flight = engine.env.machine.obs.flight
@@ -251,26 +362,30 @@ class TestIdentityStamping:
             "seed": 0x5EED,
         }
         obs.metrics.counter("c").inc()
-        bundle = obs.flight.postmortem("containment", "wild read")
+        obs.flight.postmortem("containment", "wild read")
+        bundle = obs.flight.postmortems[-1]
         assert bundle["identity"]["tenant"] == "t-alice"
         assert bundle["identity"]["seed"] == 0x5EED
         assert validate_postmortem(bundle) == []
 
     def test_unstamped_recorder_omits_nothing_required(self, obs):
         obs.metrics.counter("c").inc()
-        bundle = obs.flight.postmortem("t")
+        obs.flight.postmortem("t")
+        bundle = obs.flight.postmortems[-1]
         assert bundle["identity"] == {}
         assert validate_postmortem(bundle) == []
 
     def test_validator_rejects_non_object_identity(self, obs):
         obs.metrics.counter("c").inc()
-        bundle = obs.flight.postmortem("t")
+        obs.flight.postmortem("t")
+        bundle = obs.flight.postmortems[-1]
         bundle["identity"] = ["tenant", "t"]
         assert any("identity" in p for p in validate_postmortem(bundle))
 
     def test_validator_rejects_nested_identity_values(self, obs):
         obs.metrics.counter("c").inc()
-        bundle = obs.flight.postmortem("t")
+        obs.flight.postmortem("t")
+        bundle = obs.flight.postmortems[-1]
         bundle["identity"] = {"tenant": {"nested": True}}
         assert any("identity" in p for p in validate_postmortem(bundle))
 
