@@ -102,6 +102,12 @@ class EnclaveVirtContext:
             total = total.merge(hv.counters)
         return total
 
+    def release(self) -> None:
+        """Drop the hypervisors, which refer back to this context (see
+        :meth:`Enclave.release`).  One still installed on a core keeps
+        working: it needs the context, not the reverse."""
+        self.hypervisors = {}
+
 
 class CovirtController:
     """The controller module, hooked into MCP + Pisces."""
@@ -190,6 +196,11 @@ class CovirtController:
             "config_updates": len(self.config_log),
             "dossiers": sorted(str(eid) for eid in self.dossiers),
         }
+
+    def close(self) -> None:
+        """End the controller with its environment: drop its fault
+        subscribers (the recovery supervisor, which refers back to it)."""
+        self.fault_hooks.clear()
 
     def interpose_on(self, framework: CoKernelFramework) -> None:
         """Interpose Covirt on a co-kernel framework.

@@ -230,6 +230,9 @@ class FuzzEngine:
         self.seed = int(seed)
         self.schedule = schedule
         self.rng = named_stream(f"fuzz/{schedule}", self.seed)
+        #: Whether :meth:`close` ends the environment (only one the
+        #: engine built itself).
+        self._owns_env = env is None
         self.env = env or CovirtEnvironment()
         self.oracles = OraclePack(self.env)
         self.slots: list["SupervisedService | None"] = [None] * MAX_SLOTS
@@ -295,6 +298,24 @@ class FuzzEngine:
         them."""
         self._apply(action)
         return self.steps[-1]
+
+    def close(self) -> None:
+        """Fold the live slots' counters into the dead pool and, if the
+        engine built its environment itself, close it
+        (:meth:`CovirtEnvironment.close`) so reference counting frees
+        the machine with the engine.  Runs already returned stay valid,
+        and so does :meth:`fingerprint`; the engine applies nothing
+        more."""
+        for slot in range(MAX_SLOTS):
+            self._retire_slot(slot)
+        if self._owns_env:
+            self.env.close()
+
+    def __enter__(self) -> "FuzzEngine":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- generation --------------------------------------------------------
 

@@ -136,15 +136,15 @@ def _execute_payload(payload: dict[str, Any]) -> dict[str, Any]:
     code."""
     schedule = payload["schedule"]
     ops: list[str] = []
-    engine = FuzzEngine(seed=payload["seed"], schedule=schedule)
-    if payload["mode"] == "seed":
-        run = engine.run(payload["steps"])
-    else:
-        parent = [Action.from_dict(a) for a in payload["parent_actions"]]
-        actions, ops = mutate_actions(
-            parent, payload["parent_fingerprint"], payload["seed"]
-        )
-        run = engine.replay(actions)
+    with FuzzEngine(seed=payload["seed"], schedule=schedule) as engine:
+        if payload["mode"] == "seed":
+            run = engine.run(payload["steps"])
+        else:
+            parent = [Action.from_dict(a) for a in payload["parent_actions"]]
+            actions, ops = mutate_actions(
+                parent, payload["parent_fingerprint"], payload["seed"]
+            )
+            run = engine.replay(actions)
     return {
         "index": payload["index"],
         "mode": payload["mode"],

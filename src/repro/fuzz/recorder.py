@@ -220,8 +220,8 @@ def replay_run(run: FuzzRun) -> ReplayResult:
     compare every observable against the record."""
     from repro.fuzz.engine import FuzzEngine  # circular at import time
 
-    engine = FuzzEngine(seed=run.seed, schedule=run.schedule)
-    replayed = engine.replay(run.actions)
+    with FuzzEngine(seed=run.seed, schedule=run.schedule) as engine:
+        replayed = engine.replay(run.actions)
     diffs: list[str] = []
     for old, new in zip(run.steps, replayed.steps):
         if old.outcome != new.outcome:

@@ -75,7 +75,8 @@ def shrink_run(
         def execute(actions: list[Action]) -> FuzzRun:
             from repro.fuzz.engine import FuzzEngine
 
-            return FuzzEngine(seed=run.seed, schedule=run.schedule).replay(actions)
+            with FuzzEngine(seed=run.seed, schedule=run.schedule) as engine:
+                return engine.replay(actions)
 
     executions = 0
     trajectory = [len(run.steps)]

@@ -53,10 +53,23 @@ def _attach_delta_pct(rows: Rows, region_mb: int) -> float:
     return overhead_pct(latency["covirt-on"], latency["covirt-off"])
 
 
+def _on_fresh_env(
+    figure: Callable[[CovirtEnvironment], Rows],
+) -> Callable[[], Rows]:
+    """A claim driver: ``figure``'s rows on a fresh environment, which
+    is closed once they are taken."""
+
+    def driver() -> Rows:
+        with CovirtEnvironment() as env:
+            return figure(env)
+
+    return driver
+
+
 CLAIMS: list[tuple[str, Callable[[], Rows], list[Claim]]] = [
     (
         "fig3",
-        lambda: ex.fig3(CovirtEnvironment()),
+        _on_fresh_env(ex.fig3),
         [
             Claim(
                 "Fig. 3", "noise profiles show little variation",
@@ -71,7 +84,7 @@ CLAIMS: list[tuple[str, Callable[[], Rows], list[Claim]]] = [
     ),
     (
         "fig4",
-        lambda: ex.fig4(CovirtEnvironment()),
+        _on_fresh_env(ex.fig4),
         [
             Claim(
                 "Fig. 4", "attach overhead little-to-none, shrinking",
@@ -83,7 +96,7 @@ CLAIMS: list[tuple[str, Callable[[], Rows], list[Claim]]] = [
     ),
     (
         "fig5a",
-        lambda: ex.fig5a(CovirtEnvironment()),
+        _on_fresh_env(ex.fig5a),
         [
             Claim(
                 "Fig. 5a", "STREAM: no noticeable overhead",
@@ -95,7 +108,7 @@ CLAIMS: list[tuple[str, Callable[[], Rows], list[Claim]]] = [
     ),
     (
         "fig5b",
-        lambda: ex.fig5b(CovirtEnvironment()),
+        _on_fresh_env(ex.fig5b),
         [
             Claim(
                 "Fig. 5b", "memory protection adds ~1.8 %",
@@ -113,7 +126,7 @@ CLAIMS: list[tuple[str, Callable[[], Rows], list[Claim]]] = [
     ),
     (
         "fig6",
-        lambda: ex.fig6(CovirtEnvironment()),
+        _on_fresh_env(ex.fig6),
         [
             Claim(
                 "Fig. 6", "MiniFE: little to no overhead, all layouts",
@@ -125,7 +138,7 @@ CLAIMS: list[tuple[str, Callable[[], Rows], list[Claim]]] = [
     ),
     (
         "fig7",
-        lambda: ex.fig7(CovirtEnvironment()),
+        _on_fresh_env(ex.fig7),
         [
             Claim(
                 "Fig. 7", "HPCG worst case ~1.4 %",
@@ -137,7 +150,7 @@ CLAIMS: list[tuple[str, Callable[[], Rows], list[Claim]]] = [
     ),
     (
         "fig8",
-        lambda: ex.fig8(CovirtEnvironment()),
+        _on_fresh_env(ex.fig8),
         [
             Claim(
                 "Fig. 8", "lj/eam/chain similar across configs",

@@ -27,7 +27,7 @@ from repro.perf.costs import CostModel, DEFAULT_COSTS
 from repro.pisces.enclave import Enclave, EnclaveState, FaultRecord
 from repro.pisces.kmod import PiscesKmod
 from repro.pisces.resources import ResourceSpec
-from repro.xemem.api import XememService
+from repro.xemem.api import XememHooks, XememService
 from repro.xemem.segment import HOST_ENCLAVE_ID
 
 
@@ -53,7 +53,7 @@ class MasterControlProcess:
         self.host = host
         self.kmod = PiscesKmod(machine, host)
         self.vectors = VectorAllocator()
-        self.xemem = XememService(machine, self._resolve_enclave, costs=costs)
+        self.xemem = XememService(machine, self.kmod.enclaves.get, costs=costs)
         self.forwarder = SyscallForwarder()
         self.channels: dict[int, CommandChannel] = {}
         self.notifications: list[DependentNotification] = []
@@ -66,8 +66,16 @@ class MasterControlProcess:
         #: Slot the Covirt controller occupies once activated.
         self.covirt_controller: Any = None
 
-    def _resolve_enclave(self, enclave_id: int) -> Enclave | None:
-        return self.kmod.enclaves.get(enclave_id)
+    def close(self) -> None:
+        """End the MCP with its environment: close the kernel module and
+        drop what the layers above registered here (failure subscribers,
+        the Covirt controller's slot, its XEMEM and vector hooks)."""
+        self.kmod.close()
+        self.on_enclave_failed.clear()
+        self.covirt_controller = None
+        self.xemem.hooks = XememHooks()
+        self.vectors.on_grant.clear()
+        self.vectors.on_revoke.clear()
 
     def _host_core(self) -> int:
         return min(self.host.online_cores)

@@ -91,6 +91,12 @@ class LocalApic:
     def attach(self, machine: "Machine") -> None:
         self._machine = machine
 
+    def detach(self) -> None:
+        """Drop the software hook and the link back to the machine (see
+        :meth:`Machine.close`); the counters and logs stay readable."""
+        self._machine = None
+        self.delivery_hook = None
+
     # -- transmit side -------------------------------------------------
 
     def write_icr(

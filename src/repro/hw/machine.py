@@ -147,6 +147,19 @@ class Machine:
         for core in self.cores:
             core.sync_tsc(self.clock.now)
 
+    def close(self) -> None:
+        """End the machine's life: detach every core's APIC and software
+        context (the kernels and hypervisors installed there refer back
+        to the machine) and close its observability bundle, so nothing
+        the machine holds refers back up the stack and reference
+        counting frees it with its owner.  Everything recorded stays
+        readable."""
+        for core in self.cores:
+            core.context = None
+            if core.apic is not None:
+                core.apic.detach()
+        self.obs.close()
+
     def reset(self) -> None:
         """Warm-reset every core and device; memory ownership survives."""
         for core in self.cores:

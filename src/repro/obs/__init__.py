@@ -73,6 +73,15 @@ class Observability:
         self.flight.clear()
         self._wire_flight()
 
+    def close(self) -> None:
+        """Detach the metric observers and each metric's link to its
+        registry, and the context providers (they point at the layers
+        that own this bundle through the machine).  Spans, metric
+        values, the ring and the post-mortems already captured stay
+        readable."""
+        self.metrics.close()
+        self.flight.context_providers.clear()
+
     def quiesce(self) -> None:
         """Drop to the zero-overhead fast path: disable the span tracer
         and detach every observer (flight feed included), so emission

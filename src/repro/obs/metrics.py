@@ -286,6 +286,14 @@ class MetricsRegistry:
         for hook in hooks:
             hook(kind, name, labels, value)
 
+    def close(self) -> None:
+        """Detach the update observers and each metric's notify link
+        (a method of this registry, so a reference cycle).  Values stay
+        readable; later updates no longer fan out."""
+        self.hooks = []
+        for metric in self._metrics.values():
+            metric._notify = None
+
     def _get_or_create(self, cls, name: str, help: str, **kwargs) -> Metric:
         metric = self._metrics.get(name)
         if metric is None:

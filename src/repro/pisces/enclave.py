@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, NoReturn, Protocol
 
 from repro.hw.apic import DeliveryMode
 from repro.hw.interrupts import ExceptionClass, exception_class
@@ -96,7 +96,8 @@ class Enclave:
     #: swapped by Covirt at boot interposition time.
     port: AccessPort | None = None
     fault: FaultRecord | None = None
-    #: Opaque slot for Covirt's per-enclave virtualization context.
+    #: Opaque slot for Covirt's per-enclave virtualization context; it
+    #: is released with the enclave (its ``release()``).
     virt_context: object = None
     #: How many times this *service* has been (re)launched; 1 for a
     #: fresh enclave, bumped by the recovery supervisor on relaunch.
@@ -119,6 +120,20 @@ class Enclave:
             raise EnclaveDead(
                 f"enclave {self.enclave_id} is {self.state.value}"
             )
+
+    def release(self) -> None:
+        """Free the partition's software once it is gone for good, or
+        its environment is closed.  The kernel, the port and the
+        virtualization context each refer back to the enclave, so until
+        these links go a dead partition is one reference cycle that only
+        the cycle collector frees.  The enclave stays a record (id,
+        state, spec, assignment, fault) whose port refuses every
+        operation, as a dead enclave's port does."""
+        if self.virt_context is not None:
+            self.virt_context.release()
+        self.kernel = None
+        self.virt_context = None
+        self.port = ReleasedPort(self)
 
 
 class NativeAccessPort:
@@ -195,3 +210,18 @@ class NativeAccessPort:
 
         self.enclave.require_running()
         return host_cpuid(leaf, core_id)
+
+
+class ReleasedPort:
+    """The port of a released enclave: every operation raises
+    :class:`EnclaveDead`.  It keeps only the enclave's id, so it closes
+    no reference cycle."""
+
+    def __init__(self, enclave: Enclave) -> None:
+        self.enclave_id = enclave.enclave_id
+
+    def _refuse(self, *args: object, **kwargs: object) -> NoReturn:
+        raise EnclaveDead(f"enclave {self.enclave_id} was released")
+
+    read = write = send_ipi = rdmsr = wrmsr = io_in = io_out = _refuse
+    raise_exception = cpuid = xsetbv = hlt = _refuse

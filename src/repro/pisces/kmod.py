@@ -245,15 +245,30 @@ class CoKernelFramework:
     def _destroy(self, enclave: Enclave) -> None:
         """Clean shutdown + reclaim, then forget the partition.
 
-        Dropping the registry entry lets a destroyed partition's kernel,
-        hypervisors and rings be freed with it.  ``FAILED`` partitions
-        that nobody destroys stay registered: recovery, the oracles and
-        post-mortems read them.
+        Dropping the registry entry and releasing the partition's
+        software (:meth:`Enclave.release`) lets reference counting free
+        its kernel, hypervisors and rings as soon as nothing else holds
+        them.  ``FAILED`` partitions that nobody destroys stay
+        registered, whole: recovery, the oracles and post-mortems read
+        them.  :meth:`close` releases them.
         """
         self._shut_down(enclave)
         enclave.state = EnclaveState.DESTROYED
         self._reclaim(enclave)
         del self.enclaves[enclave.enclave_id]
+        enclave.release()
+
+    def close(self) -> None:
+        """End the framework with its environment: release every
+        partition still registered, and drop what the layers above
+        hooked into it (control hooks, ioctl extensions, an interposed
+        boot protocol) and its entry in the host's module table."""
+        for enclave in self.enclaves.values():
+            enclave.release()
+        self.hooks = ControlHooks()
+        self._ioctl_extensions.clear()
+        self.boot_protocol = NativeBootProtocol(self.machine)
+        self.host.modules.pop(self.MODULE_NAME, None)
 
 
 class PiscesKmod(CoKernelFramework):

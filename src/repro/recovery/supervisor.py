@@ -154,6 +154,12 @@ class RecoverySupervisor:
             controller.fault_hooks.append(self._on_covirt_fault)
         machine.obs.flight.register_context("recovery", self.flight_summary)
 
+    def close(self) -> None:
+        """End the supervisor with its environment: drop its phase
+        observers (the fuzz engine's, whose engine holds this
+        supervisor)."""
+        self.phase_hooks.clear()
+
     def flight_summary(self) -> dict:
         """Deterministic service-state summary for post-mortem bundles."""
         return {

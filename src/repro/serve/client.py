@@ -57,8 +57,6 @@ class ServeClient:
             self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         else:
             self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.settimeout(timeout)
-        self._sock.connect(address)
         # Hand-rolled line buffering: socket.makefile() readers wedge
         # permanently after one recv timeout, and read_frames() leans on
         # short timeouts to poll; a plain byte buffer survives them
@@ -69,8 +67,14 @@ class ServeClient:
         #: Telemetry frames read off the wire but not yet consumed
         #: (push lines interleave with responses once subscribed).
         self.frames: list[dict[str, Any]] = []
-        if tenant is not None:
-            self.hello(tenant)
+        try:
+            self._sock.settimeout(timeout)
+            self._sock.connect(address)
+            if tenant is not None:
+                self.hello(tenant)
+        except BaseException:
+            self._sock.close()
+            raise
 
     # -- transport -------------------------------------------------------
 

@@ -121,6 +121,9 @@ class ServeDaemon:
         self.scheduler = CooperativeScheduler()
         self.max_backlog = max_backlog
         self.obs = Observability(_WallClock())
+        # Nothing reads the daemon's request spans back: keep no more of
+        # them than the flight ring does (which still sees every one).
+        self.obs.tracer.capacity = self.obs.flight.capacity
         self.obs.flight.register_context(
             "serve.registry", self.registry.summary
         )

@@ -45,7 +45,10 @@ class RunJob:
         self.tenant = session.tenant
         self.remaining = int(cycles)
         self.slice_cycles = int(slice_cycles)
-        self.on_done = on_done
+        #: Dropped once the job leaves the queue: a callback that refers
+        #: back to the job (the daemon's does) would otherwise keep the
+        #: job and its session alive until the cycle collector ran.
+        self.on_done: Callable[..., None] | None = on_done
         self.is_cancelled = is_cancelled
         self.advanced = 0
         self.steps = 0
@@ -93,6 +96,7 @@ class CooperativeScheduler:
         job.finished = True
         self.completed += 1
         job.on_done(result, err)
+        job.on_done = None
 
     def tick(self) -> bool:
         """Advance one slice of the head job; returns True if any work
@@ -102,6 +106,7 @@ class CooperativeScheduler:
         job = self._queue.popleft()
         if job.is_cancelled():
             job.finished = True
+            job.on_done = None
             self.cancelled += 1
             return True
         try:

@@ -32,6 +32,7 @@ from repro.fuzz.mutate import validate_action
 from repro.pisces.enclave import EnclaveState
 from repro.serve.protocol import (
     E_INVALID_PARAMS,
+    E_NO_SUCH_SESSION,
     E_SESSION_PARKED,
     ServeError,
 )
@@ -111,6 +112,10 @@ class Session:
             raise ServeError(
                 E_SESSION_PARKED,
                 f"session {self.session_id} is parked: {self.park_reason}",
+            )
+        if self.state is SessionState.KILLED:
+            raise ServeError(
+                E_NO_SUCH_SESSION, f"session {self.session_id} was killed"
             )
 
     def park(self, reason: str) -> None:
@@ -327,7 +332,9 @@ class Session:
     # -- teardown --------------------------------------------------------
 
     def kill(self) -> dict[str, Any]:
-        """Tear down every live enclave and retire the session."""
+        """Tear down every live enclave and retire the session: its
+        machine is closed, and any work still queued for it (a sliced
+        ``session.run``) ends with ``no_such_session``."""
         survivors = 0
         for slot in range(MAX_SLOTS):
             svc = self.engine.slots[slot]
@@ -339,6 +346,7 @@ class Session:
                 survivors += 1
             self.engine.slots[slot] = None
         self.state = SessionState.KILLED
+        self.engine.close()
         return {
             "session_id": self.session_id,
             "enclaves_torn_down": survivors,

@@ -122,80 +122,81 @@ def run_cell(
     seed: int,
     env: CovirtEnvironment | None = None,
 ) -> CellRun:
-    """One scenario run: pure in ``(cell, seed)``."""
-    engine = FuzzEngine(seed=seed, schedule=cell.schedule, env=env)
-    adaptation = ADAPTATIONS[cell.adaptation]()
-    adapt_events: list[str] = []
+    """One scenario run: pure in ``(cell, seed)``.  A cell that builds
+    its own environment (``env`` is None) closes it when done."""
+    with FuzzEngine(seed=seed, schedule=cell.schedule, env=env) as engine:
+        adaptation = ADAPTATIONS[cell.adaptation]()
+        adapt_events: list[str] = []
 
-    # Prologue: launch the cell's enclaves via inject() — no RNG drawn,
-    # so the scheduled stream after the prologue matches a pure run's.
-    for slot in range(min(cell.enclaves, len(engine.slots))):
-        if engine.failure is not None:
-            break
-        record = engine.inject(
-            Action(
-                ActionKind.LAUNCH,
-                {
-                    "slot": slot,
-                    "layout": NUMA_SHAPES[cell.numa],
-                    "config": FULL_CONFIG_INDEX,
-                    "policy": POLICIES[cell.policy],
-                },
+        # Prologue: launch the cell's enclaves via inject() — no RNG drawn,
+        # so the scheduled stream after the prologue matches a pure run's.
+        for slot in range(min(cell.enclaves, len(engine.slots))):
+            if engine.failure is not None:
+                break
+            record = engine.inject(
+                Action(
+                    ActionKind.LAUNCH,
+                    {
+                        "slot": slot,
+                        "layout": NUMA_SHAPES[cell.numa],
+                        "config": FULL_CONFIG_INDEX,
+                        "policy": POLICIES[cell.policy],
+                    },
+                )
             )
+            adapt_events.append(f"prologue:{record.outcome}")
+
+        # Scheduled stream in phase chunks; adaptation at interior bounds.
+        phases = ADAPT_PHASES if cell.adaptation != "none" else 1
+        plan = _chunks(cell.steps, phases)
+        for phase, chunk in enumerate(plan):
+            if engine.failure is not None:
+                break
+            if chunk:
+                engine.run(chunk)
+            if engine.failure is not None or phase == len(plan) - 1:
+                break
+            rng = named_stream(
+                f"sweep/adapt/{cell.cell_id()}/{phase}", seed
+            )
+            adapt_events.extend(adaptation.apply(engine, rng, phase))
+            _audit(engine)
+
+        # Workload mix: run each on the first live slot, recording its FOM.
+        workload_foms: dict[str, float] = {}
+        for name in cell.workloads:
+            if engine.failure is not None:
+                break
+            live = engine._live_slots()
+            if not live:
+                adapt_events.append(f"workload:{name}:skip:no-live-slot")
+                continue
+            svc = engine.slots[live[0]]
+            result = engine.env.engine.run(workload_by_name(name), svc.enclave)
+            workload_foms[name] = round(result.fom, 4)
+            _audit(engine)
+
+        run = engine.finish()
+        outcome_counts: dict[str, int] = {}
+        for step in run.steps:
+            prefix = step.outcome.split(":", 1)[0]
+            outcome_counts[prefix] = outcome_counts.get(prefix, 0) + 1
+        registry = engine.env.machine.obs.metrics
+        return CellRun(
+            cell_id=cell.cell_id(),
+            seed=int(seed),
+            fingerprint=run.fingerprint,
+            final_clock=run.final_clock,
+            steps_applied=len(run.steps),
+            outcome_counts=outcome_counts,
+            faults=outcome_counts.get("fault", 0),
+            adapt_events=adapt_events,
+            workload_foms=workload_foms,
+            exits_by_reason=registry.exit_counts_by_reason(),
+            failure=run.failure,
+            active_grants=len(engine.env.mcp.vectors.active_grants()),
+            postmortems=engine.env.machine.obs.flight.captured,
         )
-        adapt_events.append(f"prologue:{record.outcome}")
-
-    # Scheduled stream in phase chunks; adaptation at interior bounds.
-    phases = ADAPT_PHASES if cell.adaptation != "none" else 1
-    plan = _chunks(cell.steps, phases)
-    for phase, chunk in enumerate(plan):
-        if engine.failure is not None:
-            break
-        if chunk:
-            engine.run(chunk)
-        if engine.failure is not None or phase == len(plan) - 1:
-            break
-        rng = named_stream(
-            f"sweep/adapt/{cell.cell_id()}/{phase}", seed
-        )
-        adapt_events.extend(adaptation.apply(engine, rng, phase))
-        _audit(engine)
-
-    # Workload mix: run each on the first live slot, recording its FOM.
-    workload_foms: dict[str, float] = {}
-    for name in cell.workloads:
-        if engine.failure is not None:
-            break
-        live = engine._live_slots()
-        if not live:
-            adapt_events.append(f"workload:{name}:skip:no-live-slot")
-            continue
-        svc = engine.slots[live[0]]
-        result = engine.env.engine.run(workload_by_name(name), svc.enclave)
-        workload_foms[name] = round(result.fom, 4)
-        _audit(engine)
-
-    run = engine.finish()
-    outcome_counts: dict[str, int] = {}
-    for step in run.steps:
-        prefix = step.outcome.split(":", 1)[0]
-        outcome_counts[prefix] = outcome_counts.get(prefix, 0) + 1
-    registry = engine.env.machine.obs.metrics
-    return CellRun(
-        cell_id=cell.cell_id(),
-        seed=int(seed),
-        fingerprint=run.fingerprint,
-        final_clock=run.final_clock,
-        steps_applied=len(run.steps),
-        outcome_counts=outcome_counts,
-        faults=outcome_counts.get("fault", 0),
-        adapt_events=adapt_events,
-        workload_foms=workload_foms,
-        exits_by_reason=registry.exit_counts_by_reason(),
-        failure=run.failure,
-        active_grants=len(engine.env.mcp.vectors.active_grants()),
-        postmortems=engine.env.machine.obs.flight.captured,
-    )
 
 
 def execute_task(payload: dict[str, Any]) -> dict[str, Any]:

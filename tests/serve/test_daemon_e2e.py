@@ -3,12 +3,15 @@ observability, shutdown."""
 
 from __future__ import annotations
 
+import gc
+import warnings
+
 import pytest
 
 from repro.obs import metric_names
 from repro.serve.client import ServeClient, parse_endpoint
 from repro.serve.daemon import ServeDaemon
-from repro.serve.protocol import PROTOCOL_NAME, PROTOCOL_VERSION
+from repro.serve.protocol import PROTOCOL_NAME, PROTOCOL_VERSION, ServeError
 
 
 class TestLifecycle:
@@ -84,6 +87,19 @@ class TestTransports:
             daemon.stop()
         assert not path.exists()  # cleaned up on shutdown
 
+    @pytest.mark.parametrize("failing", ["connect", "hello"])
+    def test_failed_client_closes_its_socket(self, daemon, failing):
+        endpoint, tenant = {
+            "connect": ("tcp:127.0.0.1:1", None),  # nothing listens there
+            "hello": (daemon.endpoint, ""),  # the daemon rejects the tenant
+        }[failing]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises((OSError, ServeError)):
+                ServeClient(endpoint, tenant=tenant)
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
+
     def test_exactly_one_transport_required(self, tmp_path):
         with pytest.raises(ValueError):
             ServeDaemon()
@@ -126,3 +142,12 @@ class TestObservability:
         client.ping()
         spans = [s.name for s in daemon.obs.tracer.spans]
         assert "serve.request.ping" in spans
+
+    def test_request_span_retention_is_bounded(self, daemon, client):
+        bound = daemon.obs.flight.capacity
+        for _ in range(bound + 20):
+            client.ping()
+        assert len(daemon.obs.tracer.spans) == bound
+        newest = daemon.obs.flight.tail()[-1]
+        assert newest["type"] == "span"
+        assert newest["name"] == "serve.request.ping"

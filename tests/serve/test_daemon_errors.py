@@ -161,6 +161,32 @@ class TestQuotas:
         assert all(r["ok"] for r in remaining)
 
 
+class TestKillWithQueuedRun:
+    def test_queued_run_of_a_killed_session_ends_no_such_session(
+        self, client, quota
+    ):
+        sid = client.launch(seed=1)["session_id"]
+        # One write: the run is queued (it needs many slices), then the
+        # kill lands before the scheduler could finish it.
+        client._sock.sendall(
+            encode_request(
+                1, "session.run",
+                {"session_id": sid, "cycles": quota.max_cycles_per_request},
+            )
+            + encode_request(2, "session.kill", {"session_id": sid})
+        )
+        import json
+
+        replies = {}
+        for _ in range(2):
+            reply = json.loads(client._recv_line())
+            replies[reply["id"]] = reply
+        assert replies[2]["ok"] is True
+        assert replies[1]["ok"] is False
+        assert replies[1]["error"]["code"] == E_NO_SUCH_SESSION
+        assert client.stats()["scheduler"]["pending_jobs"] == 0
+
+
 class TestOversizedPayload:
     def test_oversized_line_typed_error_then_connection_usable(self, client):
         blob = b'{"id": 1, "method": "ping", "params": {"x": "' \

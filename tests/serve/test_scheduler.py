@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serve.protocol import E_SESSION_PARKED, ServeError
+from repro.serve.protocol import (
+    E_NO_SUCH_SESSION,
+    E_SESSION_PARKED,
+    ServeError,
+)
+from repro.serve.registry import SessionRegistry, TenantQuota
 from repro.serve.scheduler import CooperativeScheduler, RunJob
-from repro.serve.session import Session
+from repro.serve.session import Session, SessionState
 
 SLICE = 10_000_000
 
@@ -98,6 +103,39 @@ class TestCrashMidSlice:
         sched = CooperativeScheduler()
         assert sched.tick() is False
         assert sched.idle
+
+
+class TestKilledSession:
+    def test_queued_run_ends_with_no_such_session(self):
+        registry = SessionRegistry(TenantQuota(max_cycles_per_slice=5_000_000))
+        session = registry.launch("t", "baseline", 7)
+        session.step(2)
+        sched = CooperativeScheduler()
+        done = []
+        sched.submit(
+            RunJob(session, 2_000_000_000, 5_000_000,
+                   on_done=lambda result, err: done.append((result, err)))
+        )
+        sched.tick()
+        registry.kill("t", session.session_id)
+        steps = session.steps_applied
+        enclaves = sorted(session.env.mcp.kmod.enclaves)
+        sched.drain()
+        # The killed machine took no further step and launched nothing.
+        assert session.steps_applied == steps
+        assert sorted(session.env.mcp.kmod.enclaves) == enclaves
+        ((result, err),) = done
+        assert result is None
+        assert err.code == E_NO_SUCH_SESSION
+
+    def test_killed_session_refuses_work(self):
+        session = Session("s1", "a", "baseline", 1)
+        session.kill()
+        assert session.state is SessionState.KILLED
+        for work in (lambda: session.step(1), lambda: session.advance(SLICE)):
+            with pytest.raises(ServeError) as exc:
+                work()
+            assert exc.value.code == E_NO_SUCH_SESSION
 
 
 class TestValidation:
