@@ -218,7 +218,8 @@ def run_scenario(
     """
     title, fn = SCENARIOS[name]
     env = CovirtEnvironment() if costs is None else CovirtEnvironment(costs=costs)
-    results = fn(env, quick)
+    with env:
+        results = fn(env, quick)
     return build_bench_doc(
         env, name, title, quick=quick, seed=seed, results=results
     )

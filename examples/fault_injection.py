@@ -136,10 +136,10 @@ SCENARIOS = [
 
 def main() -> None:
     for name, scenario in SCENARIOS:
-        banner(f"{name} — WITHOUT Covirt")
-        scenario(CovirtEnvironment(), protected=False)
-        banner(f"{name} — WITH Covirt")
-        scenario(CovirtEnvironment(), protected=True)
+        for protected in (False, True):
+            banner(f"{name} — {'WITH' if protected else 'WITHOUT'} Covirt")
+            with CovirtEnvironment() as env:
+                scenario(env, protected=protected)
     print("\nEvery fault class: native = corruption or node death;"
           " Covirt = one enclave terminated, node intact.")
 

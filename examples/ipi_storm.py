@@ -28,55 +28,62 @@ def spray(env, attacker, targets, vectors):
     return delivered
 
 
+def storm(env: CovirtEnvironment, protected: bool) -> None:
+    """One spray, with or without Covirt's IPI protection."""
+    mode = "WITH Covirt IPI protection" if protected else "WITHOUT Covirt"
+    config = CovirtConfig.memory_ipi() if protected else None
+    attacker = env.launch(LAYOUT, config, "attacker")
+    bystander = env.launch(LAYOUT, None, "bystander")
+
+    # One legitimate channel: attacker may signal the bystander's BSP.
+    legit_core = bystander.assignment.core_ids[0]
+    grant = env.mcp.vectors.allocate(
+        dest_core=legit_core,
+        dest_enclave_id=bystander.enclave_id,
+        allowed_senders={attacker.enclave_id},
+        purpose="legitimate channel",
+    )
+
+    host_cores = sorted(env.host.online_cores)[:4]
+    vectors = [FIRST_DYNAMIC_VECTOR + i * 16 for i in range(8)]
+    targets = host_cores + list(bystander.assignment.core_ids)
+
+    sent = len(targets) * len(vectors) + 1
+    delivered = spray(env, attacker, targets, vectors)
+    # ... plus the one legitimate doorbell:
+    legit_ok = attacker.port.send_ipi(
+        attacker.assignment.core_ids[0], legit_core, grant.vector
+    )
+    delivered += int(legit_ok)
+
+    print(f"\n=== {mode} ===")
+    print(f"IPIs sent: {sent}, delivered: {delivered}, "
+          f"legitimate doorbell delivered: {legit_ok}")
+    spoofed = [
+        irq.vector
+        for irq in bystander.kernel.irq_log[legit_core]
+        if irq.vector != grant.vector
+    ]
+    print(f"spoofed interrupts at the bystander: {len(spoofed)}")
+    if protected:
+        ctx = attacker.virt_context
+        ipis = env.machine.obs.metrics.hypervisor_counts(
+            enclave=attacker.enclave_id
+        )["ipis"]
+        print(f"whitelist drops logged: {len(ctx.whitelist.dropped)} "
+              f"(forwarded: {ipis.get('forwarded', 0)})")
+        first = ctx.whitelist.dropped[0]
+        print(f"  first drop: core {first.msg.dest_core} vector "
+              f"{first.msg.vector} @ tsc {first.tsc} — {first.reason}")
+        print(f"attacker still running: {attacker.is_running} "
+              "(errant IPIs are dropped, not fatal)")
+    assert legit_ok, "the granted channel must always work"
+
+
 def main() -> None:
     for protected in (False, True):
-        env = CovirtEnvironment()
-        mode = "WITH Covirt IPI protection" if protected else "WITHOUT Covirt"
-        config = CovirtConfig.memory_ipi() if protected else None
-        attacker = env.launch(LAYOUT, config, "attacker")
-        bystander = env.launch(LAYOUT, None, "bystander")
-
-        # One legitimate channel: attacker may signal the bystander's BSP.
-        legit_core = bystander.assignment.core_ids[0]
-        grant = env.mcp.vectors.allocate(
-            dest_core=legit_core,
-            dest_enclave_id=bystander.enclave_id,
-            allowed_senders={attacker.enclave_id},
-            purpose="legitimate channel",
-        )
-
-        host_cores = sorted(env.host.online_cores)[:4]
-        vectors = [FIRST_DYNAMIC_VECTOR + i * 16 for i in range(8)]
-        targets = host_cores + list(bystander.assignment.core_ids)
-
-        sent = len(targets) * len(vectors) + 1
-        delivered = spray(env, attacker, targets, vectors)
-        # ... plus the one legitimate doorbell:
-        legit_ok = attacker.port.send_ipi(
-            attacker.assignment.core_ids[0], legit_core, grant.vector
-        )
-        delivered += int(legit_ok)
-
-        print(f"\n=== {mode} ===")
-        print(f"IPIs sent: {sent}, delivered: {delivered}, "
-              f"legitimate doorbell delivered: {legit_ok}")
-        spoofed = [
-            irq.vector
-            for irq in bystander.kernel.irq_log[legit_core]
-            if irq.vector != grant.vector
-        ]
-        print(f"spoofed interrupts at the bystander: {len(spoofed)}")
-        if protected:
-            ctx = attacker.virt_context
-            counters = ctx.aggregate_counters()
-            print(f"whitelist drops logged: {len(ctx.whitelist.dropped)} "
-                  f"(forwarded: {counters.ipis_forwarded})")
-            first = ctx.whitelist.dropped[0]
-            print(f"  first drop: core {first.msg.dest_core} vector "
-                  f"{first.msg.vector} @ tsc {first.tsc} — {first.reason}")
-            print(f"attacker still running: {attacker.is_running} "
-                  "(errant IPIs are dropped, not fatal)")
-        assert legit_ok, "the granted channel must always work"
+        with CovirtEnvironment() as env:
+            storm(env, protected)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,9 @@ BINS_US = [0.5, 1.0, 2.0, 5.0, 20.0]
 
 def main() -> None:
     print("Fig. 3: Selfish-Detour noise profile (10 s run):")
-    for row in fig3(CovirtEnvironment()):
+    with CovirtEnvironment() as env:
+        rows = fig3(env)
+    for row in rows:
         print(f"  {row['config']:15s} {row['detours']:4d} detours, "
               f"max {row['max_detour_us']:.3f} us, "
               f"{row['noise_fraction'] * 100:.5f}% of cycles lost")

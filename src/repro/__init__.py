@@ -23,7 +23,7 @@ Package map
 ``repro.hobbes``    runtime (MCP, vector namespace, channels, forwarding)
 ``repro.xemem``     cross-enclave shared memory
 ``repro.core``      **Covirt** -- the paper's contribution
-``repro.perf``      cycle cost model, counters, noise sampling
+``repro.perf``      cycle cost model, noise sampling
 ``repro.workloads`` Table-I benchmarks (real kernels + machine profiles)
 ``repro.harness``   per-figure experiment drivers
 """

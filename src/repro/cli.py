@@ -26,7 +26,8 @@ def _figure(
     """A paper figure's rows, run on a fresh environment, as a table."""
 
     def driver() -> ex.ExperimentResult:
-        return ex.ExperimentResult.from_rows(title, rows(CovirtEnvironment()))
+        with CovirtEnvironment() as env:
+            return ex.ExperimentResult.from_rows(title, rows(env))
 
     driver.__doc__ = rows.__doc__
     return driver
@@ -162,23 +163,23 @@ def run_fault_demo(args: argparse.Namespace) -> int:
     from repro.harness.env import CovirtEnvironment, Layout
 
     GiB = 1 << 30
-    env = CovirtEnvironment()
-    enclave = env.launch(
-        Layout("2c/2n", {0: 1, 1: 1}, {0: GiB, 1: GiB}),
-        CovirtConfig.full(),
-        name="demo",
-    )
-    enclave.kernel.console.append("worker: entering exchange phase")
-    bsp = enclave.assignment.core_ids[0]
-    enclave.port.send_ipi(bsp, 0, 99)  # errant, dropped
-    try:
-        enclave.port.read(bsp, 50 * GiB, 8)
-    except EnclaveFaultError:
-        pass
-    bundle = containment_bundle(env.machine.obs.flight, enclave.enclave_id)
-    print(render_dossier(bundle))
-    print(f"\nhost survived: {env.host.alive}; "
-          f"resources reclaimed: {env.host.owner_summary()}")
+    with CovirtEnvironment() as env:
+        enclave = env.launch(
+            Layout("2c/2n", {0: 1, 1: 1}, {0: GiB, 1: GiB}),
+            CovirtConfig.full(),
+            name="demo",
+        )
+        enclave.kernel.console.append("worker: entering exchange phase")
+        bsp = enclave.assignment.core_ids[0]
+        enclave.port.send_ipi(bsp, 0, 99)  # errant, dropped
+        try:
+            enclave.port.read(bsp, 50 * GiB, 8)
+        except EnclaveFaultError:
+            pass
+        bundle = containment_bundle(env.machine.obs.flight, enclave.enclave_id)
+        print(render_dossier(bundle))
+        print(f"\nhost survived: {env.host.alive}; "
+              f"resources reclaimed: {env.host.owner_summary()}")
     return 0
 
 
@@ -276,8 +277,8 @@ def run_recovery_demo(args: argparse.Namespace) -> int:
     combined = RecoveryMetrics()
     failures = 0
     for label, scenario in scenarios:
-        env = CovirtEnvironment()
-        svc = scenario(env)
+        with CovirtEnvironment() as env:
+            svc = scenario(env)
         recovered = svc.phase is RecoveryPhase.RUNNING and svc.incarnation > 1
         print(
             f"{label:32s} fault: {svc.history[-1].describe() if svc.history else '-':45s} "
@@ -286,10 +287,8 @@ def run_recovery_demo(args: argparse.Namespace) -> int:
         )
         if not recovered:
             failures += 1
-        for rec in env.recovery.metrics.records:
-            combined.record(rec)
-        combined.checkpoints_taken += env.recovery.metrics.checkpoints_taken
-        combined.checkpoint_cycles += env.recovery.metrics.checkpoint_cycles
+        combined.records += env.recovery.metrics.records
+        combined.registries.append(env.machine.obs.metrics)
     print()
     print(combined.render())
     print(

@@ -47,7 +47,6 @@ from repro.hw.memory import MemoryRegion, PAGE_SIZE
 from repro.linuxhost.host import OFFLINE_OWNER
 from repro.obs import metric_names
 from repro.perf.costs import CostModel, DEFAULT_COSTS
-from repro.perf.counters import PerfCounters
 from repro.pisces.enclave import Enclave
 from repro.pisces.kmod import COVIRT_IOCTL_BASE, CoKernelFramework
 from repro.pisces.trampoline import boot_params_address_for, entry_point_for
@@ -95,12 +94,6 @@ class EnclaveVirtContext:
     hypervisors: dict[int, CovirtHypervisor] = field(default_factory=dict)
     denied_msr_writes: list[tuple[int, int, int]] = field(default_factory=list)
     denied_io: list[tuple[int, int, int, bool]] = field(default_factory=list)
-
-    def aggregate_counters(self) -> PerfCounters:
-        total = PerfCounters()
-        for hv in self.hypervisors.values():
-            total = total.merge(hv.counters)
-        return total
 
     def release(self) -> None:
         """Drop the hypervisors, which refer back to this context (see
@@ -536,11 +529,12 @@ class CovirtController:
             "terminated": any(h.terminated for h in ctx.hypervisors.values()),
         }
 
-    def _ioctl_counters(self, enclave_id: int) -> PerfCounters:
-        ctx = self.contexts.get(enclave_id)
-        if ctx is None:
+    def _ioctl_counters(self, enclave_id: int) -> dict[str, Any]:
+        """The enclave's hypervisor counts, from the machine's registry
+        (:meth:`~repro.obs.metrics.MetricsRegistry.hypervisor_counts`)."""
+        if enclave_id not in self.contexts:
             raise KeyError(f"enclave {enclave_id} is not protected")
-        return ctx.aggregate_counters()
+        return self.machine.obs.metrics.hypervisor_counts(enclave=enclave_id)
 
     def _ioctl_dossier(self, enclave_id: int) -> dict[str, Any]:
         """Fetch a copy of the crash report for a terminated enclave (the

@@ -8,7 +8,8 @@ to days".
 
 A dossier is that surviving state, collected by the controller at
 termination time as one JSON-native dict: the fault itself, every
-core's hypervisor counters and final register/TSC state, the EPT's
+core's exit counts (from the machine's metrics registry) and final
+register/TSC state, the EPT's
 shape, the whitelist's drop log, the denied MSR writes and port
 accesses, and the tail of the co-kernel console.  The controller keeps
 it (``controller.dossiers``, ioctl 203) and freezes it into the
@@ -26,6 +27,7 @@ from repro.hw.memory import PAGE_SIZE, PAGE_SIZE_1G, PAGE_SIZE_2M
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.controller import EnclaveVirtContext
+    from repro.core.hypervisor import CovirtHypervisor
     from repro.obs.flight import FlightRecorder
 
 #: Span events per core that a rendered report shows as its lead-up.
@@ -48,18 +50,7 @@ def collect_dossier(
         "enclave_name": ctx.enclave.name,
         "features": ctx.config.label(),
         "cores": [
-            {
-                "core_id": core_id,
-                "tsc": hv.core.read_tsc(),
-                "mode": hv.core.mode.value,
-                "halted": hv.core.halted,
-                "vm_entries": hv.core.vm_entries,
-                "total_exits": hv.counters.total_exits,
-                "exits_by_reason": dict(hv.counters.exits),
-                "tlb_entries": len(hv.core.tlb) if hv.core.tlb else 0,
-                "pending_commands": hv.queue.pending(),
-            }
-            for core_id, hv in sorted(ctx.hypervisors.items())
+            _core_state(hv) for _, hv in sorted(ctx.hypervisors.items())
         ],
         "ept_mapped_bytes": ctx.ept.mapped_bytes if ctx.ept is not None else 0,
         "ept_entries": (
@@ -78,6 +69,25 @@ def collect_dossier(
         "denied_msr_writes": [list(entry) for entry in ctx.denied_msr_writes],
         "denied_io": [list(entry) for entry in ctx.denied_io],
         "console_tail": kernel.console[-10:] if kernel is not None else [],
+    }
+
+
+def _core_state(hv: "CovirtHypervisor") -> dict[str, Any]:
+    """One core's state at termination; its exit counts are the
+    registry's samples labelled with this core and enclave."""
+    exits = hv.obs.metrics.hypervisor_counts(
+        enclave=hv.ctx.enclave.enclave_id, core=hv.core.core_id
+    )["exits"]
+    return {
+        "core_id": hv.core.core_id,
+        "tsc": hv.core.read_tsc(),
+        "mode": hv.core.mode.value,
+        "halted": hv.core.halted,
+        "vm_entries": hv.core.vm_entries,
+        "total_exits": sum(exits.values()),
+        "exits_by_reason": exits,
+        "tlb_entries": len(hv.core.tlb) if hv.core.tlb else 0,
+        "pending_commands": hv.queue.pending(),
     }
 
 

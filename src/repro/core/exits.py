@@ -146,12 +146,12 @@ def handle_apic_write(hv: "CovirtHypervisor", exit: VmExit) -> bool:
     allowed, reason = whitelist.permits(msg)
     if not allowed:
         whitelist.record_drop(msg, reason, hv.core.read_tsc())
-        hv.counters.ipis_filtered += 1
+        hv.count_ipi("filtered")
         return False
     apic = hv.core.apic
     assert apic is not None
     apic.write_icr(msg.dest_core, msg.vector, msg.mode)
-    hv.counters.ipis_forwarded += 1
+    hv.count_ipi("forwarded")
     return True
 
 

@@ -20,7 +20,6 @@ from repro.hw.interrupts import Interrupt, InterruptKind
 from repro.hw.machine import Machine
 from repro.obs import metric_names
 from repro.perf.costs import CostModel, DEFAULT_COSTS
-from repro.perf.counters import PerfCounters
 from repro.vmx.exits import ExitReason, VmExit
 from repro.vmx.vapic import VapicMode
 from repro.vmx.vmcs import Vmcs
@@ -52,7 +51,6 @@ class CovirtHypervisor:
         self.queue = queue
         self.stack_addr = stack_addr
         self.costs = costs
-        self.counters = PerfCounters()
         #: Generation of the VMCS state this core has activated.
         self.loaded_generation: int = -1
         #: Set by the controller: where terminations are reported.
@@ -94,7 +92,6 @@ class CovirtHypervisor:
         """Charge one exit round trip to this core; returns the cost."""
         cost = self.costs.exit_cost(emulation=emulation)
         self.core.advance(cost)
-        self.counters.record_exit(reason.value, cost)
         tsc = self.core.read_tsc()
         self.obs.tracer.complete(
             f"hv.exit.{reason.value}",
@@ -112,6 +109,13 @@ class CovirtHypervisor:
             metric_names.EXIT_CYCLES, "exit round-trip latency (cycles)"
         ).observe(cost, reason=reason.value)
         return cost
+
+    def count_ipi(self, outcome: str) -> None:
+        """Count one IPI this core handled: ``forwarded``, ``filtered``
+        or ``posted``."""
+        self.obs.metrics.counter(
+            metric_names.IPIS, "IPIs handled, by outcome/core/enclave"
+        ).inc(outcome=outcome, **self._metric_labels())
 
     def make_exit(self, reason: ExitReason, qualification: Any = None) -> VmExit:
         return VmExit(
@@ -157,7 +161,7 @@ class CovirtHypervisor:
             assert self.vmcs.pi_descriptor is not None
             self.vmcs.pi_descriptor.post(interrupt.vector)
             self.core.advance(self.costs.posted_delivery)
-            self.counters.posted_deliveries += 1
+            self.count_ipi("posted")
             for vector in self.vmcs.pi_descriptor.drain():
                 if kernel is not None:
                     kernel.inject_interrupt(
@@ -169,7 +173,6 @@ class CovirtHypervisor:
         # the interrupt forces an exit and is re-injected.
         self.account_exit(ExitReason.EXTERNAL_INTERRUPT)
         self.core.advance(self.costs.irq_injection)
-        self.counters.interrupts_injected += 1
         if kernel is not None:
             kernel.inject_interrupt(self.core.core_id, interrupt)
 
@@ -193,7 +196,6 @@ class CovirtHypervisor:
                     break
                 self._execute_command(cmd)
                 self.queue.mark_completed(cmd)
-                self.counters.commands_serviced += 1
                 commands.inc(type=cmd.type.name, **self._metric_labels())
                 serviced += 1
             drain.args["serviced"] = serviced
@@ -210,7 +212,6 @@ class CovirtHypervisor:
                 self.costs.tlb_flush
                 + int(self.costs.tlb_refill_per_entry * min(flushed, 256))
             )
-            self.counters.tlb_flushes += 1
             return
         if cmd.type is CommandType.VMCS_RELOAD:
             self.core.advance(self.costs.vmcs_load)

@@ -23,7 +23,7 @@ keeps the regression corpus minimal-covering via greedy set cover.
 Because the whole simulator is deterministic given its inputs, the
 engine's RNG is the *only* entropy in a run: two runs with the same
 ``(seed, schedule, steps)`` produce identical event traces, identical
-performance counters, and identical final machine state.
+hypervisor counts, and identical final machine state.
 """
 
 from repro.fuzz.actions import Action, ActionKind

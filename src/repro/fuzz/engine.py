@@ -19,7 +19,6 @@ subsequences of a run valid runs and ddmin shrinking sound.
 
 from __future__ import annotations
 
-from dataclasses import fields as dataclass_fields
 from typing import TYPE_CHECKING
 
 from repro.core.commands import CommandType
@@ -42,7 +41,6 @@ from repro.hw.ioports import (
 )
 from repro.hw.memory import OwnershipError, PAGE_SIZE
 from repro.hw.msr import MSR, MsrAccessError
-from repro.perf.counters import PerfCounters
 from repro.pisces.enclave import EnclaveDead, EnclaveState
 from repro.pisces.kmod import PiscesError
 from repro.recovery.policy import Quarantine, RestartAlways, RestartWithBackoff
@@ -52,7 +50,6 @@ from repro.vmx.ept import EptError
 from repro.xemem.segment import SegmentError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.controller import EnclaveVirtContext
     from repro.recovery.supervisor import SupervisedService
 
 GiB = 1 << 30
@@ -201,19 +198,6 @@ _HOST_PORTS = [SERIAL_COM1, PIT_CHANNEL0, KBD_CONTROLLER, RTC_INDEX]
 _WILD_BASE = 50 * GiB
 
 
-def flatten_counters(counters: PerfCounters) -> dict[str, int]:
-    """A :class:`PerfCounters` as a flat, JSON-friendly dict."""
-    flat: dict[str, int] = {}
-    for f in dataclass_fields(counters):
-        value = getattr(counters, f.name)
-        if f.name == "exits":
-            for reason, count in sorted(value.items()):
-                flat[f"exits.{reason}"] = int(count)
-        else:
-            flat[f.name] = int(value)
-    return flat
-
-
 class FuzzEngine:
     """Drives one environment through a seeded action sequence."""
 
@@ -236,14 +220,9 @@ class FuzzEngine:
         self.env = env or CovirtEnvironment()
         self.oracles = OraclePack(self.env)
         self.slots: list["SupervisedService | None"] = [None] * MAX_SLOTS
-        #: Retained context references: the controller pops a context on
-        #: death, but its hypervisors' counters are part of the run's
-        #: observable behaviour, so the engine keeps them reachable.
-        self._ctxs: list["EnclaveVirtContext | None"] = [None] * MAX_SLOTS
         self._last_eids: list[int | None] = [None] * MAX_SLOTS
         self.steps: list[StepRecord] = []
         self.failure: dict | None = None
-        self._dead_counters = PerfCounters()
         self._svc_counter = 0
         self._seg_counter = 0
         self._armed: tuple[str, int] | None = None
@@ -300,14 +279,11 @@ class FuzzEngine:
         return self.steps[-1]
 
     def close(self) -> None:
-        """Fold the live slots' counters into the dead pool and, if the
-        engine built its environment itself, close it
+        """If the engine built its environment itself, close it
         (:meth:`CovirtEnvironment.close`) so reference counting frees
         the machine with the engine.  Runs already returned stay valid,
-        and so does :meth:`fingerprint`; the engine applies nothing
-        more."""
-        for slot in range(MAX_SLOTS):
-            self._retire_slot(slot)
+        and so does :meth:`fingerprint` (the registry it reads stays
+        readable); the engine applies nothing more."""
         if self._owns_env:
             self.env.close()
 
@@ -457,8 +433,8 @@ class FuzzEngine:
     def _apply(self, action: Action) -> None:
         self._sweep()
         index = len(self.steps)
-        # The step span is passive: spans/metrics are not part of the
-        # fingerprint, so instrumentation cannot perturb determinism.
+        # The step span and the step counter are passive: neither is in
+        # the fingerprint, so instrumentation cannot perturb determinism.
         obs = self.env.machine.obs
         step_span = obs.tracer.begin(
             f"fuzz.step.{action.kind.name.lower()}",
@@ -544,7 +520,6 @@ class FuzzEngine:
         ]
 
         if kind is ActionKind.SHUTDOWN:
-            self._retire_slot(int(p["slot"]))
             self.env.recovery.services.pop(svc.name, None)
             self.env.teardown(enclave)
             self.oracles.dead_enclave_ids.add(eid)
@@ -604,14 +579,14 @@ class FuzzEngine:
             return "ok"
         if kind is ActionKind.MSR_WRITE_SENSITIVE:
             msr = _SENSITIVE_WRITE_MSRS[int(p["msr"]) % len(_SENSITIVE_WRITE_MSRS)]
-            ctx = self._ctxs[int(p["slot"])]
+            ctx = self.env.controller.context_for(eid)
             before = len(ctx.denied_msr_writes) if ctx else 0
             enclave.port.wrmsr(core, msr, int(p["value"]))
             after = len(ctx.denied_msr_writes) if ctx else 0
             return "ok:denied" if after > before else "ok:native"
         if kind is ActionKind.IO_PORT_HOST:
             port = _HOST_PORTS[int(p["port"]) % len(_HOST_PORTS)]
-            ctx = self._ctxs[int(p["slot"])]
+            ctx = self.env.controller.context_for(eid)
             before = len(ctx.denied_io) if ctx else 0
             if p["write"]:
                 enclave.port.io_out(core, port, int(p["value"]))
@@ -710,7 +685,6 @@ class FuzzEngine:
             enclave, policy=policy, config=config, name=name
         )
         self.slots[slot] = svc
-        self._ctxs[slot] = self.env.controller.context_for(eid)
         self._last_eids[slot] = eid
         return f"ok:enclave={eid} {layout.label} {config.label()} {policy.name}"
 
@@ -758,13 +732,6 @@ class FuzzEngine:
         except EnclaveFaultError:
             pass  # contained, as it must be
 
-    def _retire_slot(self, slot: int) -> None:
-        """Fold a dying incarnation's counters into the dead pool."""
-        ctx = self._ctxs[slot]
-        if ctx is not None:
-            self._dead_counters = self._dead_counters.merge(ctx.aggregate_counters())
-        self._ctxs[slot] = None
-
     def _sweep(self) -> None:
         """Reconcile slots with reality: recoveries swapped incarnations
         under us, parks emptied slots, faults minted dead enclave ids."""
@@ -776,24 +743,27 @@ class FuzzEngine:
                 # Recovered into a fresh incarnation.
                 if self._last_eids[i] is not None:
                     self.oracles.dead_enclave_ids.add(self._last_eids[i])
-                self._retire_slot(i)
-                self._ctxs[i] = self.env.controller.context_for(eid)
                 self._last_eids[i] = eid
             if svc.phase.terminal or svc.enclave.state is not EnclaveState.RUNNING:
                 self.oracles.dead_enclave_ids.add(eid)
-                self._retire_slot(i)
                 self.slots[i] = None
                 self._last_eids[i] = None
 
     # -- finishing ---------------------------------------------------------
 
-    def total_counters(self) -> PerfCounters:
-        total = PerfCounters()
-        total = total.merge(self._dead_counters)
-        for ctx in self._ctxs:
-            if ctx is not None:
-                total = total.merge(ctx.aggregate_counters())
-        return total
+    def _counters(self) -> dict[str, int]:
+        """The machine's hypervisor counts
+        (:meth:`~repro.obs.metrics.MetricsRegistry.hypervisor_counts`),
+        flat: ``exits.<reason>``, ``exit_cycles``, ``commands.<type>``,
+        ``ipis.<outcome>``.  Dead incarnations' counts stay in the
+        registry, so nothing has to keep them alive."""
+        flat: dict[str, int] = {}
+        for name, value in self.env.machine.obs.metrics.hypervisor_counts().items():
+            if isinstance(value, dict):
+                flat.update((f"{name}.{key}", n) for key, n in value.items())
+            else:
+                flat[name] = value
+        return dict(sorted(flat.items()))
 
     def fingerprint(self) -> str:
         """Hash of the full behavioural transcript.  Two runs of the same
@@ -803,8 +773,7 @@ class FuzzEngine:
         lines += [step.describe() for step in self.steps]
         lines.append(f"clock={env.machine.clock.now}")
         lines += [
-            f"counter {name}={value}"
-            for name, value in sorted(flatten_counters(self.total_counters()).items())
+            f"counter {name}={value}" for name, value in self._counters().items()
         ]
         lines += [f"config {tsc} {detail}" for tsc, detail in env.controller.config_log]
         for f in env.controller.fault_log:
@@ -834,7 +803,7 @@ class FuzzEngine:
             steps=list(self.steps),
             fingerprint=self.fingerprint(),
             final_clock=self.env.machine.clock.now,
-            counters=flatten_counters(self.total_counters()),
+            counters=self._counters(),
             failure=self.failure,
             coverage=sorted(self.cov.map.ids()),
         )

@@ -38,8 +38,10 @@ FORMAT_VERSION = 2
 #: vocabulary, schedule weight tables, generation order — anything that
 #: makes an old recording non-replayable even though its JSON still
 #: parses.  Corpus loading refuses mismatches loudly instead of letting
-#: replay diverge mysteriously.
-ENGINE_VERSION = 2
+#: replay diverge mysteriously.  Version 3 fingerprints the hypervisor
+#: counts kept in the machine's metrics registry, and relaunches an
+#: enclave with its boot region first.
+ENGINE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,9 @@ class FuzzRun:
     #: counters, pending events); equal fingerprints ⇒ identical runs.
     fingerprint: str
     final_clock: int
-    #: Flattened :class:`~repro.perf.counters.PerfCounters` snapshot.
+    #: The machine's hypervisor counts, flat (``exits.<reason>``,
+    #: ``exit_cycles``, ``commands.<type>``, ``ipis.<outcome>``; see
+    #: :meth:`~repro.obs.metrics.MetricsRegistry.hypervisor_counts`).
     counters: dict[str, int]
     #: None for a clean run; otherwise ``{"step", "kind", "detail"}``
     #: where kind is ``oracle`` or ``exception``.

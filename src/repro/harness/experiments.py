@@ -333,15 +333,15 @@ def run_ablation_coalescing() -> ExperimentResult:
             features=Feature.MEMORY | Feature.EXCEPTIONS,
             ept_coalescing=coalesce,
         )
-        env = CovirtEnvironment()
-        if native is None:
-            base = env.launch(layout, None, "native")
-            native = env.engine.run(RandomAccess(), base)
-            env.teardown(base)
-        enclave = env.launch(layout, config)
-        counts = enclave.virt_context.ept.entry_counts()
-        result = env.engine.run(RandomAccess(), enclave)
-        env.teardown(enclave)
+        with CovirtEnvironment() as env:
+            if native is None:
+                base = env.launch(layout, None, "native")
+                native = env.engine.run(RandomAccess(), base)
+                env.teardown(base)
+            enclave = env.launch(layout, config)
+            counts = enclave.virt_context.ept.entry_counts()
+            result = env.engine.run(RandomAccess(), enclave)
+            env.teardown(enclave)
         rows.append(
             [
                 label,
@@ -372,24 +372,26 @@ def run_ablation_ipi_mode() -> ExperimentResult:
             ipi_mode=mode,
         )
         for workload in (RandomAccess(), Lammps("chute")):
-            env = CovirtEnvironment()
-            native_enclave = env.launch(MICROBENCH_LAYOUT, None, "native")
-            native = env.engine.run(workload, native_enclave)
-            env.teardown(native_enclave)
-            enclave = env.launch(MICROBENCH_LAYOUT, config)
-            # Drive a doorbell through the real delivery engine so the
-            # exit/posted counters reflect the mode.
-            env.mcp.channels[enclave.enclave_id].host_send("ping", None)
-            counters = enclave.virt_context.aggregate_counters()
-            result = env.engine.run(workload, enclave)
-            env.teardown(enclave)
+            with CovirtEnvironment() as env:
+                native_enclave = env.launch(MICROBENCH_LAYOUT, None, "native")
+                native = env.engine.run(workload, native_enclave)
+                env.teardown(native_enclave)
+                enclave = env.launch(MICROBENCH_LAYOUT, config)
+                # Drive a doorbell through the real delivery engine so the
+                # exit/posted counts reflect the mode.
+                env.mcp.channels[enclave.enclave_id].host_send("ping", None)
+                counts = env.machine.obs.metrics.hypervisor_counts(
+                    enclave=enclave.enclave_id
+                )
+                result = env.engine.run(workload, enclave)
+                env.teardown(enclave)
             rows.append(
                 [
                     mode.value,
                     workload.name,
                     f"{result.overhead_vs(native) * 100:+.2f}%",
-                    counters.exits.get("external_interrupt", 0),
-                    counters.posted_deliveries,
+                    counts["exits"].get("external_interrupt", 0),
+                    counts["ipis"].get("posted", 0),
                 ]
             )
     return ExperimentResult(
@@ -413,15 +415,15 @@ def run_motivation_fullvirt() -> ExperimentResult:
     rows: list[list[Any]] = []
     for workload_factory in (Stream, RandomAccess, Hpcg):
         workload = workload_factory()
-        env = CovirtEnvironment()
-        native_enclave = env.launch(MICROBENCH_LAYOUT, None, "native")
-        native = env.engine.run(workload, native_enclave)
-        env.teardown(native_enclave)
-        covirt_enclave = env.launch(
-            MICROBENCH_LAYOUT, CovirtConfig.memory_ipi(), "covirt"
-        )
-        covirt = env.engine.run(workload_factory(), covirt_enclave)
-        env.teardown(covirt_enclave)
+        with CovirtEnvironment() as env:
+            native_enclave = env.launch(MICROBENCH_LAYOUT, None, "native")
+            native = env.engine.run(workload, native_enclave)
+            env.teardown(native_enclave)
+            covirt_enclave = env.launch(
+                MICROBENCH_LAYOUT, CovirtConfig.memory_ipi(), "covirt"
+            )
+            covirt = env.engine.run(workload_factory(), covirt_enclave)
+            env.teardown(covirt_enclave)
         fullvirt = vmm.run(workload_factory(), ncores=1)
         rows.append(
             [
@@ -473,11 +475,13 @@ def run_isolation_corun() -> ExperimentResult:
     GiB_ = 1 << 30
     rows: list[list[Any]] = []
     for label, config in [("native", None), ("covirt-mem+ipi", CovirtConfig.memory_ipi())]:
-        solo_env = CovirtEnvironment()
-        solo = solo_env.engine.run(
-            Stream(),
-            solo_env.launch(Layout("2c/z0", {0: 2}, {0: 2 * GiB_}), config, "solo"),
-        )
+        with CovirtEnvironment() as solo_env:
+            solo = solo_env.engine.run(
+                Stream(),
+                solo_env.launch(
+                    Layout("2c/z0", {0: 2}, {0: 2 * GiB_}), config, "solo"
+                ),
+            )
         scenarios = [
             ("vs STREAM, same zone", Layout("2c/z0", {0: 2}, {0: 2 * GiB_}),
              Stream()),
@@ -487,14 +491,14 @@ def run_isolation_corun() -> ExperimentResult:
              SelfishDetour(1.0)),
         ]
         for desc, other_layout, other_workload in scenarios:
-            env = CovirtEnvironment()
-            subject = env.launch(
-                Layout("2c/z0", {0: 2}, {0: 2 * GiB_}), config, "subject"
-            )
-            neighbour = env.launch(other_layout, config, "neighbour")
-            results = env.engine.run_concurrent(
-                [(Stream(), subject), (other_workload, neighbour)]
-            )
+            with CovirtEnvironment() as env:
+                subject = env.launch(
+                    Layout("2c/z0", {0: 2}, {0: 2 * GiB_}), config, "subject"
+                )
+                neighbour = env.launch(other_layout, config, "neighbour")
+                results = env.engine.run_concurrent(
+                    [(Stream(), subject), (other_workload, neighbour)]
+                )
             slowdown = results[0].elapsed_cycles / solo.elapsed_cycles - 1.0
             rows.append([label, desc, f"{slowdown * 100:+.2f}%"])
     return ExperimentResult(
@@ -517,48 +521,50 @@ def run_integration_spectrum() -> ExperimentResult:
     rows: list[list[Any]] = []
     for label, config in [("native", None), ("covirt-mem", CovirtConfig.memory_only())]:
         # Hobbes/Pisces: channel round trip to the host proxy.
-        env = _Env()
-        enclave = env.launch(
-            Layout("2c", {0: 1, 1: 1}, {0: GiB_, 1: GiB_}), config, "hobbes"
-        )
-        task = enclave.kernel.spawn("app")
-        core = env.machine.core(enclave.assignment.core_ids[0])
-        t0 = core.read_tsc()
-        fd = enclave.kernel.syscall(task, Syscall.OPEN, "/etc/hostname")
-        enclave.kernel.syscall(task, Syscall.READ, fd, 64)
-        hobbes_us = (core.read_tsc() - t0) / 2 / CYCLES_PER_US
+        with _Env() as env:
+            enclave = env.launch(
+                Layout("2c", {0: 1, 1: 1}, {0: GiB_, 1: GiB_}), config, "hobbes"
+            )
+            task = enclave.kernel.spawn("app")
+            core = env.machine.core(enclave.assignment.core_ids[0])
+            t0 = core.read_tsc()
+            fd = enclave.kernel.syscall(task, Syscall.OPEN, "/etc/hostname")
+            enclave.kernel.syscall(task, Syscall.READ, fd, 64)
+            hobbes_us = (core.read_tsc() - t0) / 2 / CYCLES_PER_US
         rows.append([label, "Pisces/Hobbes (channel)", round(hobbes_us, 2)])
         # IHK/McKernel: proxy process.
         from repro.ihk import IhkModule
 
-        env = _Env()
-        ihk = IhkModule(env.machine, env.host)
-        env.controller.interpose_on(ihk)
-        os_index = ihk.reserve({0: 1, 1: 1}, {0: GiB_, 1: GiB_})
-        mcos = env.controller.launch_via(lambda: ihk.boot(os_index), config)
-        process = mcos.kernel.spawn_process("app")
-        core = env.machine.core(mcos.assignment.core_ids[0])
-        t0 = core.read_tsc()
-        fd = mcos.kernel.syscall(process, Syscall.OPEN, "/etc/hostname")
-        mcos.kernel.syscall(process, Syscall.READ, fd, 64)
-        ihk_us = (core.read_tsc() - t0) / 2 / CYCLES_PER_US
+        with _Env() as env:
+            ihk = IhkModule(env.machine, env.host)
+            env.controller.interpose_on(ihk)
+            os_index = ihk.reserve({0: 1, 1: 1}, {0: GiB_, 1: GiB_})
+            mcos = env.controller.launch_via(lambda: ihk.boot(os_index), config)
+            process = mcos.kernel.spawn_process("app")
+            core = env.machine.core(mcos.assignment.core_ids[0])
+            t0 = core.read_tsc()
+            fd = mcos.kernel.syscall(process, Syscall.OPEN, "/etc/hostname")
+            mcos.kernel.syscall(process, Syscall.READ, fd, 64)
+            ihk_us = (core.read_tsc() - t0) / 2 / CYCLES_PER_US
+            ihk.close()
         rows.append([label, "IHK/McKernel (proxy process)", round(ihk_us, 2)])
         # mOS: in-kernel trampoline.
         from repro.mos import MosStack
 
-        env = _Env()
-        mos = MosStack(env.machine, env.host)
-        env.controller.interpose_on(mos)
-        partition = env.controller.launch_via(
-            lambda: mos.designate({0: 2}, {0: 2 * GiB_}), config
-        )
-        lwk = partition.kernel
-        process = lwk.spawn_process("app")
-        core = env.machine.core(partition.assignment.core_ids[0])
-        t0 = core.read_tsc()
-        fd = lwk.syscall(process, Syscall.OPEN, "/etc/hostname")
-        lwk.syscall(process, Syscall.READ, fd, 64)
-        mos_us = (core.read_tsc() - t0) / 2 / CYCLES_PER_US
+        with _Env() as env:
+            mos = MosStack(env.machine, env.host)
+            env.controller.interpose_on(mos)
+            partition = env.controller.launch_via(
+                lambda: mos.designate({0: 2}, {0: 2 * GiB_}), config
+            )
+            lwk = partition.kernel
+            process = lwk.spawn_process("app")
+            core = env.machine.core(partition.assignment.core_ids[0])
+            t0 = core.read_tsc()
+            fd = lwk.syscall(process, Syscall.OPEN, "/etc/hostname")
+            lwk.syscall(process, Syscall.READ, fd, 64)
+            mos_us = (core.read_tsc() - t0) / 2 / CYCLES_PER_US
+            mos.close()
         rows.append([label, "mOS (in-kernel trampoline)", round(mos_us, 2)])
     return ExperimentResult(
         experiment="Integration spectrum: one delegated syscall (us)",
@@ -594,15 +600,15 @@ def run_sensitivity() -> ExperimentResult:
                 ),
             )
             overheads = {}
-            env = CovirtEnvironment(costs=costs)
-            native = env.engine.run(
-                RandomAccess(), env.launch(MICROBENCH_LAYOUT, None, "n")
-            )
-            for label, config in EVALUATION_CONFIGS[2:]:  # mem, mem+ipi
-                env_c = CovirtEnvironment(costs=costs)
-                result = env_c.engine.run(
-                    RandomAccess(), env_c.launch(MICROBENCH_LAYOUT, config)
+            with CovirtEnvironment(costs=costs) as env:
+                native = env.engine.run(
+                    RandomAccess(), env.launch(MICROBENCH_LAYOUT, None, "n")
                 )
+            for label, config in EVALUATION_CONFIGS[2:]:  # mem, mem+ipi
+                with CovirtEnvironment(costs=costs) as env_c:
+                    result = env_c.engine.run(
+                        RandomAccess(), env_c.launch(MICROBENCH_LAYOUT, config)
+                    )
                 overheads[label] = result.overhead_vs(native) * 100
             rows.append(
                 [
@@ -633,34 +639,36 @@ def run_ablation_async_config(attaches: int = 16) -> ExperimentResult:
     rows: list[list[Any]] = []
     for label, synchronous in [("asynchronous (Covirt)", False),
                                ("synchronous (conventional)", True)]:
-        env = CovirtEnvironment(synchronous_updates=synchronous)
-        owner = env.controller.launch(
-            Layout("owner", {0: 1}, {0: 2048 * MiB}).spec("owner"),
-            CovirtConfig.memory_only(),
-        )
-        attacher = env.controller.launch(
-            Layout("attacher", {1: 2}, {1: 1024 * MiB}).spec("attacher"),
-            CovirtConfig.memory_only(),
-        )
-        task = owner.kernel.spawn("exporter", mem_bytes=64 * MiB)
-        core = attacher.assignment.core_ids[0]
-        t0 = env.machine.core(core).read_tsc()
-        for i in range(attaches):
-            seg = env.mcp.xemem.make(
-                owner.enclave_id, f"s{i}", task.slices[0].start, 16 * MiB
+        with CovirtEnvironment(synchronous_updates=synchronous) as env:
+            owner = env.controller.launch(
+                Layout("owner", {0: 1}, {0: 2048 * MiB}).spec("owner"),
+                CovirtConfig.memory_only(),
             )
-            env.mcp.xemem.attach(attacher.enclave_id, seg.segid, core_hint=core)
-            env.mcp.xemem.detach(attacher.enclave_id, seg.segid, core_hint=core)
-            env.mcp.xemem.remove(seg.segid)
-        elapsed_us = (env.machine.core(core).read_tsc() - t0) / CYCLES_PER_US
-        counters = attacher.virt_context.aggregate_counters()
+            attacher = env.controller.launch(
+                Layout("attacher", {1: 2}, {1: 1024 * MiB}).spec("attacher"),
+                CovirtConfig.memory_only(),
+            )
+            task = owner.kernel.spawn("exporter", mem_bytes=64 * MiB)
+            core = attacher.assignment.core_ids[0]
+            t0 = env.machine.core(core).read_tsc()
+            for i in range(attaches):
+                seg = env.mcp.xemem.make(
+                    owner.enclave_id, f"s{i}", task.slices[0].start, 16 * MiB
+                )
+                env.mcp.xemem.attach(attacher.enclave_id, seg.segid, core_hint=core)
+                env.mcp.xemem.detach(attacher.enclave_id, seg.segid, core_hint=core)
+                env.mcp.xemem.remove(seg.segid)
+            elapsed_us = (env.machine.core(core).read_tsc() - t0) / CYCLES_PER_US
+            counts = env.machine.obs.metrics.hypervisor_counts(
+                enclave=attacher.enclave_id
+            )
         rows.append(
             [
                 label,
                 attaches,
                 round(elapsed_us, 1),
-                counters.commands_serviced,
-                counters.exits.get("exception_or_nmi", 0),
+                sum(counts["commands"].values()),
+                counts["exits"].get("exception_or_nmi", 0),
             ]
         )
     return ExperimentResult(

@@ -57,21 +57,9 @@ class Observability:
         self.tracer = SpanTracer(clock)
         self.metrics = MetricsRegistry()
         self.flight = FlightRecorder(clock)
-        self._wire_flight()
-
-    def _wire_flight(self) -> None:
         self.flight.metrics = self.metrics
         self.tracer.on_close.append(self.flight.record_span)
         self.metrics.hooks.append(self.flight.record_metric)
-
-    def reset(self) -> None:
-        """Forget everything recorded so far (used between benchmark
-        scenarios sharing one environment)."""
-        self.tracer.clear()
-        self.tracer.on_close = []
-        self.metrics = MetricsRegistry()
-        self.flight.clear()
-        self._wire_flight()
 
     def close(self) -> None:
         """Detach the metric observers and each metric's link to its
@@ -86,8 +74,8 @@ class Observability:
         """Drop to the zero-overhead fast path: disable the span tracer
         and detach every observer (flight feed included), so emission
         collapses to a cheap predicate.  Counters and gauges still
-        accumulate; only recording and fan-out stop.  One-way — use
-        :meth:`reset` to rewire the flight recorder afterwards."""
+        accumulate; only recording and fan-out stop.  One-way: nothing
+        rewires the flight recorder afterwards."""
         self.tracer.enabled = False
         self.tracer.on_close = []
         self.metrics.hooks = []

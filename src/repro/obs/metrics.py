@@ -23,8 +23,11 @@ from typing import Any
 EXITS = "covirt.exits"
 #: Exit round-trip latency histogram (cycles), by ``reason``.
 EXIT_CYCLES = "covirt.exit_cycles"
-#: Commands drained from per-core queues, by ``type``.
+#: Commands drained from per-core queues, by ``type`` / ``core`` / ``enclave``.
 COMMANDS = "covirt.commands"
+#: IPIs a hypervisor handled, by ``outcome`` (``forwarded``, ``filtered``
+#: or ``posted``) / ``core`` / ``enclave``.
+IPIS = "covirt.ipis"
 #: Guest terminations, by fault ``kind``.
 TERMINATIONS = "covirt.terminations"
 #: Controller configuration rewrites, by ``kind`` (ept-map, ...).
@@ -69,6 +72,15 @@ SERVE_TELEMETRY_SUBS = "serve.telemetry_subscribers"
 #: The daemon's own telemetry tap skips every ``serve.telemetry*``
 #: metric so accounting the stream can never feed back into it.
 SERVE_TELEMETRY_DROPS = "serve.telemetry_drops"
+
+#: The counts :meth:`MetricsRegistry.hypervisor_counts` reads: its key,
+#: the metric, and the label it breaks down by.  A fixed set: the fuzz
+#: fingerprint hashes it, so a metric added later never moves one.
+HYPERVISOR_COUNTS: tuple[tuple[str, str, str], ...] = (
+    ("exits", EXITS, "reason"),
+    ("commands", COMMANDS, "type"),
+    ("ipis", IPIS, "outcome"),
+)
 
 #: Microsecond buckets for wall-clock request latency (serving daemon).
 WALL_US_BUCKETS: tuple[int, ...] = (
@@ -156,12 +168,15 @@ class Counter(_Scalar):
     def total(self) -> float:
         return sum(self._values.values())
 
-    def sum_by(self, label: str) -> dict[str, float]:
-        """Collapse all samples onto one label dimension."""
+    def sum_by(self, label: str, **match: Any) -> dict[str, float]:
+        """Collapse the samples carrying every ``match`` label (all of
+        them by default) onto one label dimension."""
+        wanted = set(_labelkey(match))
         out: dict[str, float] = {}
         for key, value in self._values.items():
-            bucket = dict(key).get(label, "")
-            out[bucket] = out.get(bucket, 0) + value
+            if wanted.issubset(key):
+                bucket = dict(key).get(label, "")
+                out[bucket] = out.get(bucket, 0) + value
         return dict(sorted(out.items()))
 
 
@@ -209,6 +224,9 @@ class Histogram(Metric):
 
     def total_count(self) -> int:
         return sum(self._count.values())
+
+    def total_sum(self) -> float:
+        return sum(self._sum.values())
 
     def sum(self, **labels: Any) -> float:
         return self._sum.get(_labelkey(labels), 0)
@@ -328,12 +346,29 @@ class MetricsRegistry:
 
     # -- convenience views ----------------------------------------------
 
+    def hypervisor_counts(self, **labels: Any) -> dict[str, Any]:
+        """Every hypervisor count, read from the one place it is kept.
+
+        ``exits``, ``commands`` and ``ipis`` map each reason, command
+        type and outcome (:data:`HYPERVISOR_COUNTS`) to its count;
+        ``exit_cycles`` is the sum of :data:`EXIT_CYCLES`.  ``enclave=``
+        and ``core=`` keep only the samples with those labels; the cycle
+        histogram is labelled by reason alone, so a filtered view leaves
+        ``exit_cycles`` out.  Every call returns new dicts.
+        """
+        counts: dict[str, Any] = {}
+        for key, name, label in HYPERVISOR_COUNTS:
+            metric = self._metrics.get(name)
+            by = metric.sum_by(label, **labels) if metric is not None else {}
+            counts[key] = {k: int(v) for k, v in by.items()}
+        if not labels:
+            cycles = self._metrics.get(EXIT_CYCLES)
+            counts["exit_cycles"] = int(cycles.total_sum()) if cycles else 0
+        return counts
+
     def exit_counts_by_reason(self) -> dict[str, int]:
         """The paper's first question — exits, by reason, machine-wide."""
-        metric = self._metrics.get(EXITS)
-        if not isinstance(metric, Counter):
-            return {}
-        return {k: int(v) for k, v in metric.sum_by("reason").items()}
+        return self.hypervisor_counts()["exits"]
 
     # -- rendering -------------------------------------------------------
 

@@ -65,7 +65,9 @@ def run_canonical_scenario(
     seed: int = DEFAULT_SEED,
     postmortem_dir: str | Path | None = None,
 ) -> CovirtEnvironment:
-    """Run the canonical demo and return its (instrumented) environment.
+    """Run the canonical demo and return its environment, closed:
+    everything it recorded (spans, metrics, post-mortems) stays
+    readable.
 
     With ``postmortem_dir`` set, the flight recorder writes every
     post-mortem bundle the run triggers (the containment fault produces
@@ -136,4 +138,5 @@ def run_canonical_scenario(
 
         FuzzEngine(seed=seed, schedule="baseline", env=env).run(8)
 
+    env.close()
     return env

@@ -1,13 +1,11 @@
-"""Performance model: cycle costs, counters, and TSC sampling."""
+"""Performance model: cycle costs and TSC sampling."""
 
 from repro.perf.costs import CostModel, DEFAULT_COSTS
-from repro.perf.counters import PerfCounters
 from repro.perf.sampling import DetourSampler, DetourTrace
 
 __all__ = [
     "CostModel",
     "DEFAULT_COSTS",
-    "PerfCounters",
     "DetourSampler",
     "DetourTrace",
 ]

@@ -141,8 +141,11 @@ class CoKernelFramework:
     def _create(self, enclave_id: int, spec: ResourceSpec) -> Enclave:
         """Partition the spec's cores and memory out of the host.
 
-        Zones asking for no memory are skipped.  If any zone comes up
-        short, everything taken so far goes back to the host first.
+        Memory is taken zone by zone in the spec's order, so the first
+        zone's region is ``regions[0]``, the boot region the boot
+        parameters and the kernel image go into.  Zones asking for no
+        memory are skipped.  If any zone comes up short, everything
+        taken so far goes back to the host first.
         """
         owner = enclave_owner(enclave_id)
         assignment = ResourceAssignment()
@@ -162,7 +165,7 @@ class CoKernelFramework:
                 chosen = zone_cores[:ncores]
                 self.host.offline_cores(chosen)
                 assignment.core_ids += chosen
-            for zone_id, size in sorted(spec.mem_per_zone.items()):
+            for zone_id, size in spec.mem_per_zone.items():
                 if size == 0:
                     continue
                 region = self.host.offline_memory(page_align_up(size), zone_id)

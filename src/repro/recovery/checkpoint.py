@@ -74,7 +74,12 @@ class GrantRecord:
 @dataclass(frozen=True)
 class ResourceRecord:
     """Zone-shaped view of the enclave's assignment at checkpoint time
-    (captures hot-added memory the original spec never knew about)."""
+    (captures hot-added memory the original spec never knew about).
+
+    ``mem_per_zone`` lists the boot region's zone first and the other
+    zones in the order their regions were added, so a relaunch from it
+    puts the boot region first again and the hot-added memory of other
+    zones after it."""
 
     cores_per_zone: tuple[tuple[int, int], ...]
     mem_per_zone: tuple[tuple[int, int], ...]
@@ -142,8 +147,6 @@ class CheckpointManager:
         self.interval_cycles = interval_cycles
         self.latest: dict[int, EnclaveCheckpoint] = {}
         self._generation: dict[int, int] = {}
-        self.total_cost_cycles = 0
-        self.total_taken = 0
 
     # -- section capture -------------------------------------------------
 
@@ -157,7 +160,7 @@ class CheckpointManager:
             mem_per_zone[region.zone] = mem_per_zone.get(region.zone, 0) + region.size
         return ResourceRecord(
             cores_per_zone=tuple(sorted(cores_per_zone.items())),
-            mem_per_zone=tuple(sorted(mem_per_zone.items())),
+            mem_per_zone=tuple(mem_per_zone.items()),
             core_ids=tuple(enclave.assignment.core_ids),
             kernel_type=enclave.spec.kernel_type,
             name=enclave.name,
@@ -290,8 +293,6 @@ class CheckpointManager:
             cost_cycles=cost,
         )
         self.latest[eid] = cp
-        self.total_cost_cycles += cost
-        self.total_taken += 1
         return cp
 
     @staticmethod

@@ -3,14 +3,15 @@
 Every recovery attempt produces one :class:`RecoveryRecord` spanning
 fault detection (the TSC at which the supervisor saw the failure) to
 the service being back in RUNNING.  The aggregator groups records by
-fault kind so the recovery demo can print a per-fault-class MTTR table,
-and keeps running totals of checkpoints, recoveries and replayed
-commands.
+fault kind so the recovery demo can print a per-fault-class MTTR table.
+Its totals are not kept a second time: recoveries and replayed commands
+are sums over the records, and checkpoints are read from each machine's
+``recovery.checkpoint_cycles`` histogram.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.faults import FaultKey
 from repro.hw.clock import cycles_to_us
@@ -64,26 +65,48 @@ class MttrSummary:
 
 
 class RecoveryMetrics:
-    """Collects :class:`RecoveryRecord`\\ s and renders summaries."""
+    """Collects :class:`RecoveryRecord`\\ s and renders summaries.
 
-    def __init__(self) -> None:
+    ``registries`` are the :class:`~repro.obs.metrics.MetricsRegistry`\\ s
+    whose checkpoints the report counts: the supervisor's machine, or
+    several machines when one report covers them all (the recovery
+    demo)."""
+
+    def __init__(self, *registries) -> None:
         self.records: list[RecoveryRecord] = []
-        self.checkpoints_taken = 0
-        self.checkpoint_cycles = 0
-        self.recoveries = 0
-        self.recovery_cycles = 0
-        self.commands_replayed = 0
+        self.registries = list(registries)
 
     def record(self, rec: RecoveryRecord) -> None:
         self.records.append(rec)
-        if rec.recovered:
-            self.recoveries += 1
-            self.recovery_cycles += rec.mttr_cycles
-        self.commands_replayed += rec.commands_replayed
 
-    def record_checkpoint(self, cost_cycles: int) -> None:
-        self.checkpoints_taken += 1
-        self.checkpoint_cycles += cost_cycles
+    @property
+    def recoveries(self) -> int:
+        return sum(1 for rec in self.records if rec.recovered)
+
+    @property
+    def recovery_cycles(self) -> int:
+        return sum(rec.mttr_cycles for rec in self.records if rec.recovered)
+
+    @property
+    def commands_replayed(self) -> int:
+        return sum(rec.commands_replayed for rec in self.records)
+
+    def _checkpoint_histograms(self) -> list:
+        from repro.obs.metrics import CHECKPOINT_CYCLES
+
+        return [
+            hist
+            for hist in (r.get(CHECKPOINT_CYCLES) for r in self.registries)
+            if hist is not None
+        ]
+
+    @property
+    def checkpoints_taken(self) -> int:
+        return sum(h.total_count() for h in self._checkpoint_histograms())
+
+    @property
+    def checkpoint_cycles(self) -> int:
+        return int(sum(h.total_sum() for h in self._checkpoint_histograms()))
 
     # -- aggregation -----------------------------------------------------
 
@@ -98,12 +121,6 @@ class RecoveryMetrics:
                 summary.total_backoff_cycles += rec.backoff_cycles
                 summary.total_replay_length += rec.replay_length
         return summaries
-
-    def retries_by_signature(self) -> dict[tuple[str, str], int]:
-        counts: dict[tuple[str, str], int] = {}
-        for rec in self.records:
-            counts[rec.key.signature] = counts.get(rec.key.signature, 0) + 1
-        return counts
 
     # -- rendering -------------------------------------------------------
 

@@ -134,7 +134,7 @@ class RecoverySupervisor:
             machine, host, mcp, controller, self.costs.scrub_per_check
         )
         self.replayer = ReplayEngine(mcp, controller, self.costs.replay_per_command)
-        self.metrics = RecoveryMetrics()
+        self.metrics = RecoveryMetrics(machine.obs.metrics)
         #: The recovery transcript: ``(tsc, kind, detail)`` tuples, oldest
         #: first.  The supervisor appends ``checkpoint`` and ``recover``
         #: entries, the fuzz engine ``inject`` and ``oracle`` ones, and
@@ -519,9 +519,8 @@ class RecoverySupervisor:
         self.trace.append((self.machine.clock.now, kind, detail))
 
     def _note_checkpoint(self, cp: EnclaveCheckpoint, name: str) -> None:
-        """Fold one checkpoint into both metric systems: the recovery
-        report and the machine-wide observability registry."""
-        self.metrics.record_checkpoint(cp.cost_cycles)
+        """Record one checkpoint as a span and in the machine's metrics
+        registry, where :class:`RecoveryMetrics` reads its totals."""
         obs = self.machine.obs
         obs.tracer.complete(
             "recovery.checkpoint",

@@ -71,11 +71,12 @@ def sweep_doc(result: "SweepResult", *, quick: bool) -> dict[str, Any]:
 def representative_env(result: "SweepResult") -> CovirtEnvironment:
     """A fresh environment carrying one representative cell run plus
     the protection probe — the worker-count-independent source for the
-    BENCH doc's exit counts, metrics, and sim_cycles."""
-    env = CovirtEnvironment()
-    cells = result.spec.cells()
-    run_cell(cells[0], result.spec.seed_for(cells[0], 0), env=env)
-    run_probe(env)
+    BENCH doc's exit counts, metrics, and sim_cycles.  It comes back
+    closed; what it recorded stays readable."""
+    with CovirtEnvironment() as env:
+        cells = result.spec.cells()
+        run_cell(cells[0], result.spec.seed_for(cells[0], 0), env=env)
+        run_probe(env)
     return env
 
 

@@ -18,6 +18,7 @@ from repro.hw.ioports import RTC_INDEX
 from repro.hw.msr import MSR
 from repro.kitten.syscalls import Syscall
 from repro.linuxhost.host import HostPanic
+from repro.obs import metric_names
 from repro.pisces.enclave import EnclaveState, NativeAccessPort
 from repro.vmx.vapic import VapicMode
 
@@ -34,6 +35,13 @@ def env():
 
 def launch(env, config, name="e"):
     return env.launch(LAYOUT, config, name=name)
+
+
+def counts(env, enclave, **labels):
+    """The enclave's hypervisor counts, read from the machine's registry."""
+    return env.machine.obs.metrics.hypervisor_counts(
+        enclave=enclave.enclave_id, **labels
+    )
 
 
 class TestBootTransparency:
@@ -166,14 +174,13 @@ class TestIpiProtection:
 
     def test_granted_ipi_forwarded(self, env):
         enclave = launch(env, CovirtConfig.memory_ipi())
-        ctx = enclave.virt_context
         channel = env.mcp.channels[enclave.enclave_id]
         grant = channel.to_host_grant
         ok = enclave.port.send_ipi(
             enclave.assignment.core_ids[0], grant.dest_core, grant.vector
         )
         assert ok
-        assert ctx.aggregate_counters().ipis_forwarded >= 1
+        assert counts(env, enclave)["ipis"]["forwarded"] >= 1
 
     def test_native_errant_ipi_hits_victim(self, env):
         """Control group: a native enclave can spoof interrupts at
@@ -221,15 +228,13 @@ class TestIpiProtection:
     def test_incoming_ipi_posted_without_exit(self, env):
         enclave = launch(env, CovirtConfig.memory_ipi())
         bsp = enclave.assignment.core_ids[0]
-        ctx = enclave.virt_context
-        exits_before = ctx.hypervisors[bsp].counters.exits["external_interrupt"]
+        exits = counts(env, enclave, core=bsp)["exits"]
+        exits_before = exits.get("external_interrupt", 0)
         # Host doorbell into the enclave (granted at wiring time).
         env.mcp.channels[enclave.enclave_id].host_send("ping", None)
-        assert ctx.hypervisors[bsp].counters.posted_deliveries >= 1
-        assert (
-            ctx.hypervisors[bsp].counters.exits["external_interrupt"]
-            == exits_before
-        )
+        after = counts(env, enclave, core=bsp)
+        assert after["ipis"]["posted"] >= 1
+        assert after["exits"].get("external_interrupt", 0) == exits_before
         assert enclave.kernel.irq_log[bsp]  # the guest did receive it
 
     def test_incoming_ipi_exits_in_trap_mode(self, env):
@@ -239,9 +244,47 @@ class TestIpiProtection:
         )
         enclave = launch(env, config)
         bsp = enclave.assignment.core_ids[0]
-        ctx = enclave.virt_context
         env.mcp.channels[enclave.enclave_id].host_send("ping", None)
-        assert ctx.hypervisors[bsp].counters.exits["external_interrupt"] >= 1
+        assert counts(env, enclave, core=bsp)["exits"]["external_interrupt"] >= 1
+
+
+class TestIpiCounts:
+    """Each IPI a hypervisor handles is one ``covirt.ipis`` sample,
+    labelled by outcome, core and enclave like the other hypervisor
+    counts."""
+
+    def ipi_samples(self, env):
+        return env.machine.obs.metrics.get(metric_names.IPIS).samples()
+
+    def test_forwarded(self, env):
+        enclave = launch(env, CovirtConfig.memory_ipi())
+        bsp = enclave.assignment.core_ids[0]
+        grant = env.mcp.channels[enclave.enclave_id].to_host_grant
+        assert enclave.port.send_ipi(bsp, grant.dest_core, grant.vector)
+        assert self.ipi_samples(env) == [
+            ({"core": str(bsp), "enclave": "1", "outcome": "forwarded"}, 1)
+        ]
+        assert counts(env, enclave)["ipis"] == {"forwarded": 1}
+
+    def test_filtered(self, env):
+        enclave = launch(env, CovirtConfig.memory_ipi())
+        bsp = enclave.assignment.core_ids[0]
+        assert not enclave.port.send_ipi(bsp, min(env.host.online_cores), 200)
+        assert self.ipi_samples(env) == [
+            ({"core": str(bsp), "enclave": "1", "outcome": "filtered"}, 1)
+        ]
+        assert counts(env, enclave)["ipis"] == {"filtered": 1}
+
+    def test_posted(self, env):
+        enclave = launch(env, CovirtConfig.memory_ipi())
+        bsp = enclave.assignment.core_ids[0]
+        env.mcp.channels[enclave.enclave_id].host_send("ping", None)
+        assert self.ipi_samples(env) == [
+            ({"core": str(bsp), "enclave": "1", "outcome": "posted"}, 1)
+        ]
+        assert counts(env, enclave, core=bsp)["ipis"] == {"posted": 1}
+        other = enclave.assignment.core_ids[1]
+        assert counts(env, enclave, core=other)["ipis"] == {}
 
 
 class TestMsrProtection:
@@ -256,18 +299,17 @@ class TestMsrProtection:
     def test_benign_msr_passes_through_without_exit(self, env):
         enclave = launch(env, CovirtConfig.full())
         bsp = enclave.assignment.core_ids[0]
-        ctx = enclave.virt_context
-        exits_before = ctx.aggregate_counters().exits["msr_write"]
+        exits_before = counts(env, enclave)["exits"].get("msr_write", 0)
         enclave.port.wrmsr(bsp, MSR.IA32_FS_BASE, 0x7000)
         assert enclave.port.rdmsr(bsp, MSR.IA32_FS_BASE) == 0x7000
-        assert ctx.aggregate_counters().exits["msr_write"] == exits_before
+        assert counts(env, enclave)["exits"].get("msr_write", 0) == exits_before
 
     def test_trapped_read_emulated_with_real_value(self, env):
         enclave = launch(env, CovirtConfig.full())
         bsp = enclave.assignment.core_ids[0]
         value = enclave.port.rdmsr(bsp, MSR.IA32_APIC_BASE)
         assert value == env.machine.core(bsp).msrs.peek(MSR.IA32_APIC_BASE)
-        assert enclave.virt_context.aggregate_counters().exits["msr_read"] >= 1
+        assert counts(env, enclave)["exits"]["msr_read"] >= 1
 
     def test_native_sensitive_write_goes_through(self, env):
         enclave = launch(env, None)
@@ -341,16 +383,14 @@ class TestEmulatedInstructions:
         enclave = launch(env, CovirtConfig.full())
         bsp = enclave.assignment.core_ids[0]
         assert enclave.port.xsetbv(bsp, 0x7)
-        counters = enclave.virt_context.aggregate_counters()
-        assert counters.exits["xsetbv"] == 1
+        assert counts(env, enclave)["exits"]["xsetbv"] == 1
 
     def test_hlt_parks_the_core(self, env):
         enclave = launch(env, CovirtConfig.full())
         bsp = enclave.assignment.core_ids[0]
         enclave.port.hlt(bsp)
         assert env.machine.core(bsp).halted
-        counters = enclave.virt_context.aggregate_counters()
-        assert counters.exits["hlt"] == 1
+        assert counts(env, enclave)["exits"]["hlt"] == 1
         # HLT is not a fault: the enclave is still alive.
         assert enclave.state is EnclaveState.RUNNING
 

@@ -27,6 +27,10 @@ pytestmark = pytest.mark.slow
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.json"))
+#: A reproducer recorded by engine version 2, kept as it was written.
+ENGINE_V2_ENTRY = (
+    Path(__file__).parent / "fixtures" / "engine-v2-churn-s1808926366-n9-fail.json"
+)
 
 
 class TestRoundTrip:
@@ -86,6 +90,14 @@ class TestVersioning:
         entry["engine"] = ENGINE_VERSION + 1
         with pytest.raises(ValueError, match="engine version"):
             FuzzRun.from_dict(entry)
+
+    def test_engine_v2_entry_refused_on_load(self):
+        with pytest.raises(ValueError) as exc:
+            load_run(ENGINE_V2_ENTRY)
+        message = str(exc.value)
+        assert ENGINE_V2_ENTRY.name in message
+        assert "engine version 2" in message
+        assert f"engine is version {ENGINE_VERSION}" in message
 
     def test_missing_required_keys_named(self, entry):
         del entry["fingerprint"]

@@ -1,6 +1,6 @@
 """Oracle-determinism: the engine's RNG is the only entropy, so two
 runs of the same ``(seed, schedule, steps)`` must agree on *everything*
-observable — step outcomes, recovery transcripts, performance counters,
+observable — step outcomes, recovery transcripts, hypervisor counts,
 final clock, and the behavioural fingerprint."""
 
 from __future__ import annotations
@@ -8,7 +8,6 @@ from __future__ import annotations
 import pytest
 
 from repro.fuzz import FuzzEngine, OracleViolation, SCHEDULES, replay_run
-from repro.fuzz.engine import flatten_counters
 
 pytestmark = pytest.mark.slow
 
@@ -32,9 +31,7 @@ class TestDeterminism:
             s.describe() for s in run_b.steps
         ]
         assert trace_lines(a) == trace_lines(b)  # identical recovery transcript
-        assert flatten_counters(a.total_counters()) == flatten_counters(
-            b.total_counters()
-        )  # identical PerfCounters
+        assert run_a.counters == run_b.counters  # identical hypervisor counts
         assert run_a.final_clock == run_b.final_clock
         assert run_a.fingerprint == run_b.fingerprint
 

@@ -15,8 +15,17 @@ import pickle
 import pytest
 
 from repro.fuzz import SCHEDULES, FuzzEngine
-from repro.fuzz.engine import flatten_counters
+from repro.obs import metric_names
 from repro.serve.session import Session
+
+
+def counter_lines(engine: FuzzEngine) -> list[str]:
+    """The fixed set of hypervisor counts, read from the registry."""
+    counts = engine.env.machine.obs.metrics.hypervisor_counts()
+    flat = {"exit_cycles": counts.pop("exit_cycles")}
+    for name, by_label in counts.items():
+        flat.update((f"{name}.{key}", n) for key, n in by_label.items())
+    return [f"counter {name}={value}" for name, value in sorted(flat.items())]
 
 
 def reference(engine: FuzzEngine) -> str:
@@ -25,10 +34,7 @@ def reference(engine: FuzzEngine) -> str:
     lines = [f"seed={engine.seed} schedule={engine.schedule}"]
     lines += [step.describe() for step in engine.steps]
     lines.append(f"clock={env.machine.clock.now}")
-    lines += [
-        f"counter {name}={value}"
-        for name, value in sorted(flatten_counters(engine.total_counters()).items())
-    ]
+    lines += counter_lines(engine)
     lines += [f"config {tsc} {detail}" for tsc, detail in env.controller.config_log]
     lines += [
         f"fault {f.enclave_id} {f.key().kind}/{f.key().detail_class}"
@@ -104,6 +110,22 @@ def test_advance_hashes_nothing(monkeypatch):
     assert fingerprints == 1
 
 
+def test_unrelated_metrics_leave_the_fingerprint_alone():
+    """The fingerprint hashes a fixed set of hypervisor counts, so a
+    metric outside it, even a hypervisor one under the same labels,
+    never moves it."""
+    engine = FuzzEngine(seed=3, schedule="hostile")
+    engine.run(40)
+    before = engine.fingerprint()
+    metrics = engine.env.machine.obs.metrics
+    metrics.counter("unrelated.count").inc(reason="cpuid", core=1, enclave=1)
+    metrics.counter(metric_names.TERMINATIONS).inc(kind="x", core=1, enclave=1)
+    metrics.histogram("unrelated.cycles").observe(5_000, reason="cpuid")
+    assert engine.fingerprint() == before
+    metrics.counter(metric_names.EXITS).inc(reason="cpuid", core=1, enclave=1)
+    assert engine.fingerprint() != before
+
+
 def test_wrapped_transcript_keeps_its_fingerprint():
     """This run records 562 recovery-transcript entries, so the oldest 50
     have left the 512-entry window by the time it is hashed: the one pinned
@@ -112,5 +134,5 @@ def test_wrapped_transcript_keeps_its_fingerprint():
     run = engine.run(300)
     assert len(engine.env.recovery.trace) == 512
     assert run.fingerprint == (
-        "402ddb01b23bfdd6afeff6f44222892c9871e9b7f9113579099ebb410a2c2135"
+        "aafa8d9bc678ce7c2cb234bd5ef6faf845087d9f6723ea9e3ce84f3f417569b4"
     )

@@ -108,14 +108,6 @@ class TestRing:
         assert not obs.flight.postmortems
         assert "x" in obs.flight.context_providers
 
-    def test_reset_rewires_the_feeds(self, obs):
-        obs.reset()
-        obs.metrics.counter("c").inc()
-        with obs.tracer.span("s"):
-            pass
-        types = [e["type"] for e in obs.flight.tail()]
-        assert types == ["metric", "span"]
-
 
 class TestPostmortem:
     def test_bundle_shape_and_schema(self, obs):
@@ -298,13 +290,22 @@ class TestWiredScenario:
         run_b = engine_b.run(30)
         assert run_a.fingerprint == run_b.fingerprint
 
-    def test_corrupt_queue_postmortem_ends_the_run_cleanly(self):
-        # churn/1808926366 corrupts a command-queue header at step 34,
-        # and the oracle post-mortem's controller summary then fails to
-        # read that queue: the run must still return its failure.
-        engine = FuzzEngine(seed=1808926366, schedule="churn")
+    def test_corrupt_queue_postmortem_ends_the_run_cleanly(
+        self, corrupt_queue_header
+    ):
+        # A corrupt command-queue header makes step 26 raise, and the
+        # oracle post-mortem's controller summary then fails to read
+        # that queue: the run must still return its failure.
+        engine = FuzzEngine(seed=28, schedule="churn")
+        engine.run(20)
+        corrupt_queue_header(engine.env)
         run = engine.run(200)
-        assert run.failure["step"] == 34
+        assert run.failure == {
+            "step": 26,
+            "kind": "exception",
+            "detail": "ValueError: corrupt queue header",
+        }
+        assert len(run.steps) == 27
         bundle = engine.env.machine.obs.flight.postmortems[-1]
         assert bundle["trigger"] == "oracle"
         assert bundle["context"]["covirt"] == {
@@ -312,14 +313,19 @@ class TestWiredScenario:
         }
         assert validate_postmortem(bundle) == []
 
-    def test_dumps_match_the_golden_digests(self, tmp_path, update_golden):
+    def test_dumps_match_the_golden_digests(
+        self, tmp_path, update_golden, corrupt_queue_header
+    ):
         # Six bundles: four containment, one recovery-parked, and the
         # oracle bundle whose covirt section is the raising provider's
-        # error.  Regenerate with --update-golden.
-        engine = FuzzEngine(seed=1808926366, schedule="churn")
+        # error (a corrupt command-queue header planted after step 20).
+        # Regenerate with --update-golden.
+        engine = FuzzEngine(seed=28, schedule="churn")
         flight = engine.env.machine.obs.flight
         flight.dump_dir = tmp_path
-        engine.run(40)
+        engine.run(20)
+        corrupt_queue_header(engine.env)
+        engine.run(20)
         retained = json.dumps(list(flight.postmortems))
         digests = _dump_digests(tmp_path, retained)
         if update_golden:
@@ -330,8 +336,10 @@ class TestWiredScenario:
         )
         # The same run without a dump directory renders each bundle only
         # when it is read, after the run: it must read the same.
-        late = FuzzEngine(seed=1808926366, schedule="churn")
-        late.run(40)
+        late = FuzzEngine(seed=28, schedule="churn")
+        late.run(20)
+        corrupt_queue_header(late.env)
+        late.run(20)
         captures = late.env.machine.obs.flight.postmortems
         assert len(captures) == 6
         assert all(c.rendered is None for c in captures._captures)

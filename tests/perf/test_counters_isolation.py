@@ -1,9 +1,9 @@
 """Regression: all performance/observability state is instance-scoped.
 
 Two environments driven *interleaved* must never cross-contaminate —
-not PerfCounters on the hypervisors, not the per-machine metrics
-registry, not the span tracer.  A module-global anywhere in
-``perf/counters.py`` or ``repro.obs`` would fail here.
+not the per-machine metrics registry the hypervisor counts live in, not
+the span tracer.  A module-global anywhere in ``repro.obs`` would fail
+here.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from repro.core.features import CovirtConfig
 from repro.harness.env import CovirtEnvironment, Layout
 from repro.hw.ioports import SERIAL_COM1
 from repro.obs import metric_names
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.scenario import protection_probe
-from repro.perf.counters import PerfCounters
 
 GiB = 1 << 30
 LAYOUT = Layout("1c/1n", {0: 1}, {0: GiB})
@@ -26,21 +26,22 @@ def pair():
     return CovirtEnvironment(), CovirtEnvironment()
 
 
-class TestPerfCountersScoping:
-    def test_fresh_instances_share_nothing(self):
-        a, b = PerfCounters(), PerfCounters()
-        a.record_exit("cpuid", 100)
-        a.exits["cpuid"] += 1  # even the Counter mapping must be per-instance
-        assert b.total_exits == 0
-        assert b.cycles_in_vmm == 0
-        assert a.exits is not b.exits
+class TestRegistryScoping:
+    def test_fresh_registries_share_nothing(self):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.counter(metric_names.EXITS).inc(reason="cpuid", core=0, enclave=1)
+        a.histogram(metric_names.EXIT_CYCLES).observe(100, reason="cpuid")
+        assert b.hypervisor_counts() == {
+            "exits": {}, "commands": {}, "ipis": {}, "exit_cycles": 0
+        }
+        assert a.hypervisor_counts()["exits"] == {"cpuid": 1}
 
-    def test_merge_does_not_alias(self):
-        a, b = PerfCounters(), PerfCounters()
-        a.record_exit("cpuid", 100)
-        merged = a.merge(b)
-        merged.exits["cpuid"] += 10
-        assert a.exits["cpuid"] == 1
+    def test_views_do_not_alias(self):
+        registry = MetricsRegistry()
+        registry.counter(metric_names.EXITS).inc(reason="cpuid", core=0, enclave=1)
+        view = registry.hypervisor_counts()
+        view["exits"]["cpuid"] += 10
+        assert registry.hypervisor_counts()["exits"] == {"cpuid": 1}
 
 
 class TestInterleavedMachines:
@@ -61,10 +62,14 @@ class TestInterleavedMachines:
         assert exits_a == {"cpuid": 4}
         assert exits_b == {"io_instruction": 3}
 
-        counters_a = enclave_a.virt_context.aggregate_counters()
-        counters_b = enclave_b.virt_context.aggregate_counters()
-        assert counters_a.exits == {"cpuid": 4}
-        assert counters_b.exits == {"io_instruction": 3}
+        counts_a = env_a.machine.obs.metrics.hypervisor_counts(
+            enclave=enclave_a.enclave_id
+        )
+        counts_b = env_b.machine.obs.metrics.hypervisor_counts(
+            enclave=enclave_b.enclave_id
+        )
+        assert counts_a["exits"] == {"cpuid": 4}
+        assert counts_b["exits"] == {"io_instruction": 3}
 
     def test_interleaved_probe_and_idle_machine(self, pair):
         env_a, env_b = pair

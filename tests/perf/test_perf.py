@@ -1,10 +1,11 @@
-"""Cost model, counters, and the detour sampler."""
+"""Cost model, hypervisor counts, and the detour sampler."""
 
 import pytest
 
 from repro.hw.memory import PAGE_SIZE, PAGE_SIZE_1G, PAGE_SIZE_2M
+from repro.obs import metric_names
+from repro.obs.metrics import MetricsRegistry
 from repro.perf.costs import CostModel, DEFAULT_COSTS
-from repro.perf.counters import PerfCounters
 from repro.perf.sampling import DetourSampler, NoiseSource
 
 
@@ -48,26 +49,54 @@ class TestCostModel:
         assert costs.exit_cost() == 5000
 
 
-class TestPerfCounters:
-    def test_record_and_totals(self):
-        counters = PerfCounters()
-        counters.record_exit("ept_violation", 1600)
-        counters.record_exit("ept_violation", 1600)
-        counters.record_exit("cpuid", 1600)
-        assert counters.total_exits == 3
-        assert counters.exits["ept_violation"] == 2
-        assert counters.cycles_in_vmm == 4800
+def record_exit(registry, reason, cycles, core=1, enclave=1):
+    """What the hypervisor records for one exit."""
+    registry.counter(metric_names.EXITS).inc(
+        reason=reason, core=core, enclave=enclave
+    )
+    registry.histogram(metric_names.EXIT_CYCLES).observe(cycles, reason=reason)
 
-    def test_merge(self):
-        a, b = PerfCounters(), PerfCounters()
-        a.record_exit("hlt", 100)
-        a.ipis_filtered = 2
-        b.record_exit("hlt", 100)
-        b.tlb_flushes = 3
-        merged = a.merge(b)
-        assert merged.exits["hlt"] == 2
-        assert merged.ipis_filtered == 2
-        assert merged.tlb_flushes == 3
+
+class TestHypervisorCounts:
+    def test_record_and_totals(self):
+        registry = MetricsRegistry()
+        record_exit(registry, "ept_violation", 1600)
+        record_exit(registry, "ept_violation", 1600)
+        record_exit(registry, "cpuid", 1600)
+        counts = registry.hypervisor_counts()
+        assert sum(counts["exits"].values()) == 3
+        assert counts["exits"]["ept_violation"] == 2
+        assert counts["exit_cycles"] == 4800
+        assert counts["commands"] == counts["ipis"] == {}
+        assert registry.exit_counts_by_reason() == counts["exits"]
+
+    def test_filtered_views_sum_their_samples(self):
+        registry = MetricsRegistry()
+        record_exit(registry, "hlt", 100, core=1, enclave=1)
+        record_exit(registry, "hlt", 100, core=2, enclave=2)
+        ipis = registry.counter(metric_names.IPIS)
+        ipis.inc(outcome="filtered", core=1, enclave=1)
+        ipis.inc(outcome="filtered", core=1, enclave=1)
+        registry.counter(metric_names.COMMANDS).inc(
+            type="MEMORY_UPDATE", core=2, enclave=2
+        )
+        assert registry.hypervisor_counts() == {
+            "exits": {"hlt": 2},
+            "commands": {"MEMORY_UPDATE": 1},
+            "ipis": {"filtered": 2},
+            "exit_cycles": 200,
+        }
+        # The cycle histogram has no enclave or core label, so a
+        # filtered view has no cycle sum.
+        assert registry.hypervisor_counts(enclave=1) == {
+            "exits": {"hlt": 1},
+            "commands": {},
+            "ipis": {"filtered": 2},
+        }
+        assert registry.hypervisor_counts(enclave=2, core=2)["commands"] == {
+            "MEMORY_UPDATE": 1
+        }
+        assert registry.hypervisor_counts(enclave=1, core=2)["exits"] == {}
 
 
 class TestDetourSampler:

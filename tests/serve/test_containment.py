@@ -107,22 +107,25 @@ class TestCrashContainment:
         assert client.inspect(sid)["state"] == "parked"
 
     def test_postmortem_provider_error_parks_without_killing_daemon(
-        self, daemon, make_client
+        self, daemon, make_client, corrupt_queue_header
     ):
-        # churn/1808926366 corrupts another enclave's command-queue header
-        # at step 34; the controller's post-mortem summary then raises
-        # while reading that queue.  The bundle records the error, the
-        # session parks, and the daemon keeps serving its sibling.
+        # A corrupt command-queue header, planted after step 20 of
+        # churn/28, makes step 26 raise; the controller's post-mortem
+        # summary then raises while reading that queue.  The bundle
+        # records the error, the session parks, and the daemon keeps
+        # serving its sibling.
         victim = make_client("churn-t")
         sibling = make_client("sibling-t")
-        sid_v = victim.launch(scenario="churn", seed=1808926366)["session_id"]
+        sid_v = victim.launch(scenario="churn", seed=28)["session_id"]
         sid_s = sibling.launch(seed=REFERENCE_SEED)["session_id"]
+        assert len(victim.step(sid_v, steps=20)["steps"]) == 20
+        session = daemon.registry.get("churn-t", sid_v)
+        corrupt_queue_header(session.env)
         with pytest.raises(ServeError) as exc:
-            victim.step(sid_v, steps=40)
+            victim.step(sid_v, steps=20)
         assert exc.value.code == E_SESSION_PARKED
         assert daemon._thread.is_alive()
         assert victim.inspect(sid_v)["state"] == "parked"
-        session = daemon.registry.get("churn-t", sid_v)
         oracle, parked = list(session.env.machine.obs.flight.postmortems)[-2:]
         assert (oracle["trigger"], parked["trigger"]) == ("oracle", PARK_TRIGGER)
         for bundle in (oracle, parked):

@@ -19,8 +19,10 @@ from typing import Any, Callable
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.fuzz.engine import SCHEDULES, FuzzEngine
 from repro.fuzz.pool import _execute_payload
+from repro.harness import experiments as ex
 from repro.harness import verify
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeDaemon
@@ -151,11 +153,13 @@ def test_finished_engine_is_freed(schedule, seed):
     assert_freed_by_refcount(scenario)
 
 
-def test_engine_that_hits_a_simulator_error_is_freed():
-    # Step 34 raises "corrupt queue header" inside the simulator.
+def test_engine_that_hits_a_simulator_error_is_freed(corrupt_queue_header):
+    # Step 26 raises "corrupt queue header" inside the simulator.
     def scenario():
-        with FuzzEngine(seed=1808926366, schedule="churn") as engine:
-            assert engine.run(40).failure is not None
+        with FuzzEngine(seed=28, schedule="churn") as engine:
+            engine.run(20)
+            corrupt_queue_header(engine.env)
+            assert engine.run(20).failure["step"] == 26
 
     assert_freed_by_refcount(scenario)
 
@@ -238,3 +242,13 @@ def test_session_killed_through_the_daemon_is_freed():
 )
 def test_claim_driver_frees_its_environment(driver):
     assert_freed_by_refcount(driver)
+
+
+def test_figure_run_frees_its_environment(capsys):
+    # ``repro run fig7``: the figure's rows on an environment it closes.
+    assert_freed_by_refcount(lambda: cli_main(["run", "fig7"]))
+    assert "Fig. 7" in capsys.readouterr().out
+
+
+def test_ablation_frees_its_environments():
+    assert_freed_by_refcount(ex.run_ablation_async_config)
