@@ -174,9 +174,10 @@ class Counter(_Scalar):
         wanted = set(_labelkey(match))
         out: dict[str, float] = {}
         for key, value in self._values.items():
-            if wanted.issubset(key):
-                bucket = dict(key).get(label, "")
-                out[bucket] = out.get(bucket, 0) + value
+            if wanted and not wanted.issubset(key):
+                continue
+            bucket = dict(key).get(label, "")
+            out[bucket] = out.get(bucket, 0) + value
         return dict(sorted(out.items()))
 
 

@@ -28,26 +28,6 @@ def pytest_collection_modifyitems(
 def update_golden(request: pytest.FixtureRequest) -> bool:
     return bool(request.config.getoption("--update-golden"))
 
-
-@pytest.fixture
-def corrupt_queue_header():
-    """A function that overwrites one command-queue header in simulated
-    DRAM (the first core's of the lowest-numbered protected enclave), as
-    a stray write by a neighbour would; the next enqueue, drain or
-    post-mortem summary that reads it raises ``ValueError: corrupt queue
-    header``.  Planted into ``churn``/28 after 20 steps, step 26 hits it,
-    and the run ends with an oracle post-mortem whose controller summary
-    could not read the queue."""
-    from repro.core.commands import HEADER_SIZE
-
-    def plant(env) -> None:
-        contexts = env.controller.contexts
-        ctx = contexts[min(contexts)]
-        queue = ctx.queues[min(ctx.queues)]
-        env.machine.memory.write(queue.base, b"\xff" * HEADER_SIZE)
-
-    return plant
-
 from repro.core.controller import CovirtController
 from repro.core.features import CovirtConfig
 from repro.harness.env import CovirtEnvironment, Layout
@@ -112,3 +92,23 @@ def native_enclave(env: CovirtEnvironment, small_layout: Layout):
 @pytest.fixture
 def protected_enclave(env: CovirtEnvironment, small_layout: Layout):
     return env.launch(small_layout, CovirtConfig.full(), name="protected")
+
+
+@pytest.fixture
+def corrupt_queue_header():
+    """A function that overwrites one command-queue header in simulated
+    DRAM (the first core's of the lowest-numbered protected enclave), as
+    a stray write by a neighbour would; the next enqueue, drain or
+    post-mortem summary that reads it raises ``ValueError: corrupt queue
+    header``.  Planted into ``churn``/28 after 20 steps, step 26 hits it,
+    and the run ends with an oracle post-mortem whose controller summary
+    could not read the queue."""
+    from repro.core.commands import HEADER_SIZE
+
+    def plant(env) -> None:
+        contexts = env.controller.contexts
+        ctx = contexts[min(contexts)]
+        queue = ctx.queues[min(ctx.queues)]
+        env.machine.memory.write(queue.base, b"\xff" * HEADER_SIZE)
+
+    return plant
