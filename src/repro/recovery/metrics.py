@@ -76,9 +76,6 @@ class RecoveryMetrics:
         self.records: list[RecoveryRecord] = []
         self.registries = list(registries)
 
-    def record(self, rec: RecoveryRecord) -> None:
-        self.records.append(rec)
-
     @property
     def recoveries(self) -> int:
         return sum(1 for rec in self.records if rec.recovered)

@@ -308,7 +308,7 @@ class RecoverySupervisor:
                 "recover",
                 f"{service.name!r} recovery aborted: {exc}",
             )
-            self.metrics.record(
+            self.metrics.records.append(
                 RecoveryRecord(
                     service=service.name,
                     key=key,
@@ -384,7 +384,7 @@ class RecoverySupervisor:
 
         def park(phase: RecoveryPhase, outcome: str, **extra) -> None:
             self._set_phase(service, phase)
-            self.metrics.record(
+            self.metrics.records.append(
                 RecoveryRecord(
                     service=service.name,
                     key=key,
@@ -430,7 +430,7 @@ class RecoverySupervisor:
                 f"{service.name!r} scrub rejected relaunch: "
                 + "; ".join(scrub_report.violations),
             )
-            self.metrics.record(
+            self.metrics.records.append(
                 RecoveryRecord(
                     service=service.name,
                     key=key,
@@ -487,7 +487,7 @@ class RecoverySupervisor:
             metric_names.MTTR_CYCLES,
             "detection → RUNNING recovery latency (cycles)",
         ).observe(completion_tsc - detection_tsc, kind=key.kind)
-        self.metrics.record(
+        self.metrics.records.append(
             RecoveryRecord(
                 service=service.name,
                 key=key,
